@@ -135,8 +135,11 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     rg = build_region_game(automaton, max_vertices=_max_ext_vertices())
     text = json.dumps(dump_finite_game(rg.game), ensure_ascii=False, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"{args.output}: {exc}") from exc
     else:
         print(text)
     return 0

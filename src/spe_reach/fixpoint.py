@@ -2,13 +2,14 @@
 
 The solver labels every extended vertex with 0 or 1. A 1 on a vertex owned
 by player i means: any equilibrium play passing through that vertex must let
-player i win from there on. The labels start at all zeros and are raised
-step by step; a step raises the label of v to 1 when every choice available
-at v leads somewhere from which all plays consistent with the current labels
-make the owner win. The fixpoint of this iteration characterizes exactly the
-plays that equilibria can produce: a play is an equilibrium outcome iff it is
-consistent with the fixpoint labeling. Deciding constrained existence then
-reduces to searching for one consistent lasso per admissible gain profile.
+player i win from there on. Labels start at all zeros; each Jacobi step
+raises v to 1 when every choice at v leads where all plays consistent with
+the current labels make the owner win, and k* counts the steps that change
+a label. A step visits only the satisfied sets that occur, each restricted
+to its down-set, and folds all gain profiles into one per-vertex bitmask.
+At the fixpoint a play is an equilibrium outcome iff it is consistent with
+the labels, so constrained existence reduces to searching for one consistent
+lasso per admissible gain profile.
 """
 
 from __future__ import annotations
@@ -150,59 +151,51 @@ def exists_consistent_play(
 
 
 def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
-    """One labeling iteration.
+    """One Jacobi step, as counted by k*: each new label is read from lam alone.
 
-    The new label of a vertex owned by player i is the maximum over its
-    successors of the minimal gain of i among all lam-consistent plays from
-    that successor. The minimum is 0 iff a consistent play with gain profile
-    p, for some p with bit i clear, starts there; when no consistent play
-    exists at all the minimum over the empty set is taken as 1 (this never
-    happens at the fixpoint, since an equilibrium always exists).
+    A vertex owned by player i gets 1 iff some successor starts no
+    lam-consistent play that i loses. Such a play with gain m ends in layer
+    m (satisfied set m) and stays in its down-set. So per occurring m, layer
+    m alone is pruned to the core that can stay in it with no loser (player
+    outside m) owning a label-1 vertex; a backward search from the core,
+    skipping such label-1 vertices, ORs the losers into ``canlose`` of each
+    vertex it reaches. A vertex looping only in a lower layer is not reached.
     """
-    g = xg.game
-    n = g.n_vertices
-    sat = xg.satisfied
-    succ = g.successors
-    pred = g.predecessors
-    sources_for: dict[int, list[bool]] = {}
-
-    def sources(mask: int) -> list[bool]:
-        # vertices from which some lam-consistent play with gain exactly mask starts
-        res = sources_for.get(mask)
-        if res is None:
-            alive = _surviving(xg, lam, mask)
-            res = [False] * n
-            queue: deque[int] = deque()
-            for v in range(n):
-                if alive[v] and sat[v] == mask:
-                    res[v] = True
-                    queue.append(v)
-            while queue:
-                v = queue.popleft()
-                for u in pred[v]:
-                    if alive[u] and not res[u]:
-                        res[u] = True
-                        queue.append(u)
-            sources_for[mask] = res
-        return res
-
-    new = []
-    for v in range(n):
-        i = g.owner[v]
-        value = 0
-        for w in succ[v]:
-            minimum = 1
-            for mask in range((1 << g.n_players)):
-                if (mask >> i) & 1:
-                    continue
-                if sources(mask)[w]:
-                    minimum = 0
-                    break
-            if minimum:
-                value = 1
-                break
-        new.append(value)
-    return tuple(new)
+    g, n = xg.game, len(lam)
+    owner, succ, pred = g.owner, g.successors, g.predecessors
+    full = (1 << g.n_players) - 1
+    blocked = [label << i for label, i in zip(lam, owner)]  # the owner bit if labeled 1
+    layers: dict[int, list[int]] = {}
+    for v, m in enumerate(xg.satisfied):
+        layers.setdefault(m, []).append(v)
+    # mark[v] == m: v is in the core of layer m, and after pruning, v reaches it
+    mark, out, canlose = [-1] * n, [0] * n, [0] * n
+    for m, layer in layers.items():
+        lose = full ^ m
+        core = [v for v in layer if not blocked[v] & lose]
+        for v in core:
+            mark[v] = m
+        for v in core:
+            out[v] = [mark[w] for w in succ[v]].count(m)
+        dead = [v for v in core if not out[v]]
+        while dead:
+            v = dead.pop()
+            mark[v] = -1
+            for u in pred[v]:
+                if mark[u] == m:
+                    out[u] -= 1
+                    if not out[u]:
+                        dead.append(u)
+        # predecessors never gain satisfied players, so this stays in the down-set
+        stack = [v for v in core if mark[v] == m]
+        while stack:
+            v = stack.pop()
+            canlose[v] |= lose
+            for u in pred[v]:
+                if mark[u] != m and not blocked[u] & lose:
+                    mark[u] = m
+                    stack.append(u)
+    return tuple(int(any(not canlose[w] >> i & 1 for w in ws)) for ws, i in zip(succ, owner))
 
 
 @lru_cache(maxsize=256)

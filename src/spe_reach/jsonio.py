@@ -30,11 +30,11 @@ def _load_object(source) -> tuple[dict, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")

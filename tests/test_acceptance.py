@@ -19,7 +19,6 @@ from spe_reach.fixpoint import (
     decide_constrained_existence,
     initial_labeling,
     is_consistent,
-    lambda_step,
 )
 from spe_reach.game import ConstraintProfile, FiniteGame, gain_of_lasso
 from spe_reach.oracle import oracle_decide
@@ -45,6 +44,7 @@ from generators import (
     exhaustive_grid,
     random_games,
 )
+from reference_fixpoint import reference_lambda_step
 from test_timed import (
     one_clock_choice_ppta,
     two_clock_handover_ppta,
@@ -99,10 +99,11 @@ def sweep() -> SweepResult:
         n_ext = xg.game.n_vertices
         lam_star, k_star = compute_lambda_star(xg)
 
+        # replay the chain with the independent mask-by-mask step
         lam = initial_labeling(xg)
         steps = 0
         while True:
-            nxt = lambda_step(xg, lam)
+            nxt = reference_lambda_step(xg, lam)
             if any(a > b for a, b in zip(lam, nxt)):
                 result.bound_failures.append(f"{label}: labeling step not monotone")
             if nxt == lam:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spe_reach
 from spe_reach.cli import main
 from spe_reach.errors import InputError
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
@@ -178,6 +183,30 @@ class TestSolveCommand:
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent.json"]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(FORK_GAME).replace("A", "\u00c4").encode("latin-1"))
+        assert main(["solve", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_module_entry_point(self, fork_file):
+        src = Path(spe_reach.__file__).parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for spec, status, first in (("0=win", 0, "YES"), ("0=lose", 1, "NO")):
+            run = subprocess.run(
+                [sys.executable, "-m", "spe_reach", "solve", fork_file, "--player", spec],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert run.returncode == status, run.stderr
+            assert run.stdout.splitlines()[0] == first
+
     def test_bad_player_flag_exit_2(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "9=win"]) == 2
         assert main(["solve", fork_file, "--player", "0=maybe"]) == 2
@@ -242,6 +271,11 @@ class TestRegionsCommand:
         out = tmp_path / "regions.json"
         assert main(["regions", one_clock_file, "--output", str(out)]) == 0
         assert len(json.loads(out.read_text(encoding="utf-8"))["edges"]) == 15
+
+    def test_output_into_missing_directory_exit_2(self, one_clock_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "regions.json"
+        assert main(["regions", one_clock_file, "--output", str(out)]) == 2
+        assert "missing" in capsys.readouterr().err
 
     def test_round_trip_matches_solve_timed(self, one_clock_file, tmp_path, capsys):
         out = tmp_path / "rg.json"

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spe_reach.errors import InputError
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
+    _surviving,
     compute_lambda_star,
     decide_constrained_existence,
     exists_consistent_play,
@@ -12,7 +14,8 @@ from spe_reach.fixpoint import (
 )
 from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, gain_of_lasso
 
-from generators import all_constraints, random_games
+from generators import all_constraints, game_from_successors, random_games
+from reference_fixpoint import reference_lambda_step, reference_sources
 
 
 @pytest.fixture
@@ -129,6 +132,71 @@ class TestLambdaStep:
                 if nxt == lam:
                     break
                 lam = nxt
+
+
+@st.composite
+def labeled_games(draw):
+    """A small game and an arbitrary labeling of its extended game."""
+    n = draw(st.integers(1, 5))
+    n_players = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    g = game_from_successors(
+        [draw(st.frozensets(vertex, min_size=1, max_size=3)) for _ in range(n)],
+        [draw(st.integers(0, n_players - 1)) for _ in range(n)],
+        [draw(st.frozensets(vertex, max_size=2)) for _ in range(n_players)],
+        n_players,
+        initial=draw(vertex),
+    )
+    xg = build_extended_game(g)
+    size = xg.game.n_vertices
+    return xg, tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+
+
+class TestLayeredStepMatchesReference:
+    def test_every_step_of_the_chain_on_random_games(self):
+        for g in random_games(150, seed=67, max_vertices=12, max_players=4, max_ext_vertices=400):
+            xg = build_extended_game(g)
+            lam = initial_labeling(xg)
+            while True:
+                nxt = lambda_step(xg, lam)
+                assert nxt == reference_lambda_step(xg, lam)
+                if nxt == lam:
+                    break
+                lam = nxt
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_games())
+    def test_any_labeling_of_small_games(self, case):
+        xg, lam = case
+        assert lambda_step(xg, lam) == reference_lambda_step(xg, lam)
+
+    def test_lower_layer_loop_is_no_source_of_a_higher_layer(self):
+        # layers {} = I, A, W, U; {1} = B; {0,1} = C. W and U loop in the
+        # bottom layer and cannot leave it. With U labeled 1, player 1 must
+        # win through U, so the loop is consistent only for gains with
+        # player 1 winning, and it never reaches a vertex of such a gain.
+        g = FiniteGame.build(
+            vertices=["I", "A", "W", "U", "B", "C"],
+            edges=[
+                ("I", "a", "A"), ("I", "a", "B"), ("A", "a", "W"), ("W", "a", "U"),
+                ("U", "a", "W"), ("B", "a", "C"), ("C", "a", "C"),
+            ],
+            owner={"I": 0, "A": 0, "W": 1, "U": 1, "B": 0, "C": 0},
+            targets=[["C"], ["B"]],
+            initial="I",
+        )
+        xg = build_extended_game(g)
+        assert sorted(set(xg.satisfied)) == [0b00, 0b10, 0b11]
+        a, w, u = (_ext_index(xg, v, 0) for v in (1, 2, 3))
+        lam = tuple(int(x == u) for x in range(xg.game.n_vertices))
+        m = 0b10
+        assert _surviving(xg, lam, m)[w]
+        assert not reference_sources(xg, lam, m)[w]
+        # counting W as a start of gain {1} would let player 0 lose from A's
+        # only successor and keep A at 0
+        new = lambda_step(xg, lam)
+        assert new[a] == 1
+        assert new == reference_lambda_step(xg, lam)
 
 
 class TestComputeLambdaStar:
