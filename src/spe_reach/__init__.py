@@ -48,17 +48,10 @@ from .timed import (
     PPTA,
     RegionGame,
     Transition,
-    all_regions,
     build_region_game,
     describe_region,
     guard_sat_region,
-    guard_sat_valuation,
-    region_equiv,
-    region_of,
-    region_representative,
     reset_region,
-    reset_valuation,
-    time_successors,
     validate_ppta,
 )
 
@@ -82,7 +75,6 @@ __all__ = [
     "SizeCapError",
     "Transition",
     "Witness",
-    "all_regions",
     "build_extended_game",
     "build_region_game",
     "check_bisimulation",
@@ -96,7 +88,6 @@ __all__ = [
     "exists_consistent_play",
     "gain_of_lasso",
     "guard_sat_region",
-    "guard_sat_valuation",
     "initial_labeling",
     "is_consistent",
     "lambda_step",
@@ -107,12 +98,7 @@ __all__ = [
     "oracle_decide",
     "oracle_lambda_star",
     "quotient_game",
-    "region_equiv",
-    "region_of",
-    "region_representative",
     "reset_region",
-    "reset_valuation",
-    "time_successors",
     "validate_game",
     "validate_ppta",
 ]

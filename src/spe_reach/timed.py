@@ -8,30 +8,25 @@ equivalent under time elapse and resets, so the abstraction is a
 time-abstract bisimulation that respects owners and goals. The region game
 is the finite quotient of the (uncountable) timed game it induces; solving
 on it is equivalent to solving on the timed game itself.
+
+The builder interns regions: each reachable region is constructed once and
+then named by an int id, so time-successor chains share their tails through
+a memoized next-id map. The moves enabled after some delay are memoized per
+(location, region id) and reset images per (region id, reset set), so a
+guard is evaluated once per location and region, not once per reachable
+pair and delay.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DeadlockedRegionError, InputError, SizeCapError
 from .game import FiniteGame
 
 COMPARATORS = ("le", "lt", "eq", "gt", "ge")
-
-_OP_FN = {
-    "le": operator.le,
-    "lt": operator.lt,
-    "eq": operator.eq,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
 
 
 @dataclass(frozen=True)
@@ -141,17 +136,6 @@ def validate_ppta(a: PPTA) -> list[str]:
     return problems
 
 
-ClockValuation = tuple[Fraction, ...]
-
-
-def _as_valuation(values: Sequence) -> tuple[Fraction, ...]:
-    vals = tuple(Fraction(x) for x in values)
-    for c, v in enumerate(vals):
-        if v < 0:
-            raise ValueError(f"clock {c}: value must be nonnegative, got {v}")
-    return vals
-
-
 @dataclass(frozen=True)
 class ClockRegion:
     """Canonical cell of the clock abstraction.
@@ -191,36 +175,6 @@ class ClockRegion:
         maxima = tuple(maxima)
         return cls(maxima, tuple((0, True) for _ in maxima), ())
 
-    @property
-    def all_beyond(self) -> bool:
-        return all(info is None for info in self.clipped)
-
-
-def region_of(valuation: Sequence, maxima: Sequence[int]) -> ClockRegion:
-    """The canonical region containing the valuation."""
-    maxima = tuple(maxima)
-    vals = _as_valuation(valuation)
-    if len(vals) != len(maxima):
-        raise ValueError("valuation entries must match the clock count")
-    clipped: list[tuple[int, bool] | None] = []
-    by_fraction: dict[Fraction, list[int]] = {}
-    for c, v in enumerate(vals):
-        if v > maxima[c]:
-            clipped.append(None)
-            continue
-        ip = v.numerator // v.denominator
-        frac = v - ip
-        clipped.append((ip, frac == 0))
-        if frac != 0:
-            by_fraction.setdefault(frac, []).append(c)
-    order = tuple(frozenset(by_fraction[f]) for f in sorted(by_fraction))
-    return ClockRegion(maxima, tuple(clipped), order)
-
-
-def region_equiv(nu1: Sequence, nu2: Sequence, maxima: Sequence[int]) -> bool:
-    """True iff the two valuations lie in the same region."""
-    return region_of(nu1, maxima) == region_of(nu2, maxima)
-
 
 def _immediate_time_successor(r: ClockRegion) -> ClockRegion | None:
     """The next region hit when time elapses, or None from the absorbing one."""
@@ -247,20 +201,6 @@ def _immediate_time_successor(r: ClockRegion) -> ClockRegion | None:
     for c in wrapping:
         clipped[c] = (r.clipped[c][0] + 1, True)  # type: ignore[index]
     return ClockRegion(r.maxima, tuple(clipped), r.frac_order[:-1])
-
-
-def time_successors(r: ClockRegion) -> tuple[ClockRegion, ...]:
-    """The chain of regions reached by letting time elapse.
-
-    Starts at r itself (delay 0 is allowed) and ends at the absorbing
-    region where every clock has passed its maximum.
-    """
-    chain = [r]
-    while True:
-        nxt = _immediate_time_successor(chain[-1])
-        if nxt is None:
-            return tuple(chain)
-        chain.append(nxt)
 
 
 def _atom_sat_region(atom: GuardAtom, r: ClockRegion) -> bool:
@@ -296,12 +236,6 @@ def guard_sat_region(guard: Guard, r: ClockRegion) -> bool:
     return all(_atom_sat_region(atom, r) for atom in guard)
 
 
-def guard_sat_valuation(guard: Guard, valuation: Sequence) -> bool:
-    """Concrete guard satisfaction, used to cross-check the region version."""
-    vals = _as_valuation(valuation)
-    return all(_OP_FN[atom.op](vals[atom.clock], atom.const) for atom in guard)
-
-
 def reset_region(r: ClockRegion, resets: Iterable[int]) -> ClockRegion:
     """Zero the given clocks and drop them from the fractional order."""
     rs = frozenset(resets)
@@ -315,67 +249,6 @@ def reset_region(r: ClockRegion, resets: Iterable[int]) -> ClockRegion:
         clipped[c] = (0, True)
     order = tuple(group - rs for group in r.frac_order if group - rs)
     return ClockRegion(r.maxima, tuple(clipped), order)
-
-
-def reset_valuation(valuation: Sequence, resets: Iterable[int]) -> tuple[Fraction, ...]:
-    vals = list(_as_valuation(valuation))
-    for c in resets:
-        vals[c] = Fraction(0)
-    return tuple(vals)
-
-
-def region_representative(r: ClockRegion) -> tuple[Fraction, ...]:
-    """A concrete valuation inside r.
-
-    Fractional parts are assigned as distinct multiples of 1/(k+1) for k
-    clocks, respecting the fractional order; clocks past their maximum get
-    the maximum plus one.
-    """
-    k = len(r.maxima)
-    frac_of: dict[int, Fraction] = {}
-    for j, group in enumerate(r.frac_order):
-        for c in group:
-            frac_of[c] = Fraction(j + 1, k + 1)
-    out = []
-    for c in range(k):
-        info = r.clipped[c]
-        if info is None:
-            out.append(Fraction(r.maxima[c] + 1))
-        else:
-            ip, zero = info
-            out.append(Fraction(ip) if zero else ip + frac_of[c])
-    return tuple(out)
-
-
-def _ordered_partitions(items: frozenset[int]) -> Iterator[tuple[frozenset[int], ...]]:
-    if not items:
-        yield ()
-        return
-    elems = sorted(items)
-    m = len(elems)
-    for pick in range(1, 1 << m):
-        first = frozenset(elems[i] for i in range(m) if (pick >> i) & 1)
-        for tail in _ordered_partitions(items - first):
-            yield (first,) + tail
-
-
-def all_regions(maxima: Sequence[int]) -> list[ClockRegion]:
-    """Every canonical region for the given per-clock maxima."""
-    maxima = tuple(maxima)
-    options: list[list[tuple[int, bool] | None]] = []
-    for x in maxima:
-        opts: list[tuple[int, bool] | None] = [None]
-        opts.extend((ip, True) for ip in range(x + 1))
-        opts.extend((ip, False) for ip in range(x))
-        options.append(opts)
-    regions = []
-    for combo in product(*options):
-        fractional = frozenset(
-            c for c, info in enumerate(combo) if info is not None and not info[1]
-        )
-        for order in _ordered_partitions(fractional):
-            regions.append(ClockRegion(maxima, tuple(combo), order))
-    return regions
 
 
 def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
@@ -403,6 +276,11 @@ def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
     return ";".join(parts)
 
 
+# a move out of a (location, region id) pair: its letter and the
+# (target location, region id after resets) pair it leads to
+_Move = tuple[str, tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class RegionGame:
     """Finite game over the reachable (location, region) pairs of a PPTA."""
@@ -419,54 +297,108 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
     edge leads to the transition's target paired with the time successor
     after resets. A reachable pair with no edge at all blocks the arena and
     is reported as an error.
+
+    Each region gets an int id the first time it is reached;
+    ``max_vertices`` caps the number of ids as well as the number of
+    vertices, so a long time-successor chain is cut off before it is built. The immediate time successor and the
+    reset images are memoized per id. The moves of a pair, as (letter,
+    (target, image id)) entries, are memoized per (location, id): the moves
+    enabled at the region itself, then those of (location, immediate
+    successor) not already listed. That is the first-occurrence order of a
+    walk over the whole time-successor chain, so vertices and edges come
+    out in that order, each edge once.
     """
     problems = validate_ppta(a)
     if problems:
         raise InputError(problems[0])
-    start = (a.initial, ClockRegion.zero(a.maxima))
-    order: dict[tuple[int, ClockRegion], int] = {start: 0}
-    pairs: list[tuple[int, ClockRegion]] = [start]
-    queue: deque[tuple[int, ClockRegion]] = deque([start])
-    chains: dict[ClockRegion, tuple[ClockRegion, ...]] = {}
+    regions: list[ClockRegion] = []
+    region_id: dict[ClockRegion, int] = {}
+    successor: dict[int, int | None] = {}
+    images: dict[tuple[int, frozenset[int]], int] = {}
+    moves: dict[tuple[int, int], tuple[_Move, ...]] = {}
+
+    def intern(r: ClockRegion) -> int:
+        rid = region_id.get(r)
+        if rid is None:
+            rid = len(regions)
+            if max_vertices is not None and rid >= max_vertices:
+                raise SizeCapError(
+                    f"region game would exceed the cap of {max_vertices} clock regions"
+                )
+            region_id[r] = rid
+            regions.append(r)
+        return rid
+
+    def next_id(rid: int) -> int | None:
+        if rid not in successor:
+            nxt = _immediate_time_successor(regions[rid])
+            successor[rid] = None if nxt is None else intern(nxt)
+        return successor[rid]
+
+    def enabled(loc: int, rid: int) -> list[_Move]:
+        r = regions[rid]
+        out = []
+        for t in a.transitions_from[loc]:
+            if not guard_sat_region(t.guard, r):
+                continue
+            image = rid
+            if t.resets:
+                key = (rid, t.resets)
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = intern(reset_region(r, t.resets))
+            out.append((t.letter, (t.target, image)))
+        return out
+
+    def moves_from(loc: int, rid: int) -> tuple[_Move, ...]:
+        # walk forward to the chain's end or the first pair already memoized,
+        # then fill the memo backwards so the pairs on the walk share its tail
+        walk = []
+        tail: tuple[_Move, ...] = ()
+        step: int | None = rid
+        while step is not None:
+            known = moves.get((loc, step))
+            if known is not None:
+                tail = known
+                break
+            walk.append(step)
+            step = next_id(step)
+        for step in reversed(walk):
+            here = enabled(loc, step)
+            if here:
+                tail = tuple(dict.fromkeys(here + list(tail)))
+            moves[(loc, step)] = tail
+        return tail
+
+    start = (a.initial, intern(ClockRegion.zero(a.maxima)))
+    order: dict[tuple[int, int], int] = {start: 0}
+    pairs: list[tuple[int, int]] = [start]
     edges: list[tuple[int, str, int]] = []
-    seen_edges: set[tuple[int, str, int]] = set()
-    while queue:
-        loc, reg = pair = queue.popleft()
-        xi = order[pair]
-        chain = chains.get(reg)
-        if chain is None:
-            chain = chains[reg] = time_successors(reg)
-        blocked = True
-        for elapsed in chain:
-            for t in a.transitions_from[loc]:
-                if not guard_sat_region(t.guard, elapsed):
-                    continue
-                succ = (t.target, reset_region(elapsed, t.resets))
-                xj = order.get(succ)
-                if xj is None:
-                    xj = len(order)
-                    if max_vertices is not None and xj >= max_vertices:
-                        raise SizeCapError(
-                            f"region game would exceed the cap of {max_vertices} vertices"
-                        )
-                    order[succ] = xj
-                    pairs.append(succ)
-                    queue.append(succ)
-                triple = (xi, t.letter, xj)
-                if triple not in seen_edges:
-                    seen_edges.add(triple)
-                    edges.append(triple)
-                blocked = False
-        if blocked:
+    xi = 0
+    while xi < len(pairs):
+        loc, rid = pairs[xi]
+        out = moves_from(loc, rid)
+        if not out:
             raise DeadlockedRegionError(
-                a.location_names[loc], describe_region(reg, a.clock_names)
+                a.location_names[loc], describe_region(regions[rid], a.clock_names)
             )
-    names = tuple(
-        f"{a.location_names[loc]}|{describe_region(reg, a.clock_names)}"
-        if a.n_clocks
-        else a.location_names[loc]
-        for loc, reg in pairs
-    )
+        for letter, succ in out:
+            xj = order.get(succ)
+            if xj is None:
+                xj = len(pairs)
+                if max_vertices is not None and xj >= max_vertices:
+                    raise SizeCapError(
+                        f"region game would exceed the cap of {max_vertices} vertices"
+                    )
+                order[succ] = xj
+                pairs.append(succ)
+            edges.append((xi, letter, xj))
+        xi += 1
+    if a.n_clocks:
+        text = {rid: describe_region(regions[rid], a.clock_names) for rid in {r for _, r in pairs}}
+        names = tuple(f"{a.location_names[loc]}|{text[rid]}" for loc, rid in pairs)
+    else:
+        names = tuple(a.location_names[loc] for loc, _ in pairs)
     owners = tuple(a.owners[loc] for loc, _ in pairs)
     targets = tuple(
         frozenset(x for x, (loc, _) in enumerate(pairs) if loc in a.goals[i])
@@ -481,4 +413,4 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
         targets=targets,
         initial=0,
     )
-    return RegionGame(game=game, origin=tuple(pairs))
+    return RegionGame(game=game, origin=tuple((loc, regions[rid]) for loc, rid in pairs))

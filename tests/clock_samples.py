@@ -1,12 +1,144 @@
-"""Concrete clock-valuation helpers for exercising the region abstraction."""
+"""Concrete clock-valuation helpers for exercising the region abstraction.
+
+The solver works on regions alone; these helpers map concrete valuations to
+regions and back, enumerate regions and walk time-successor chains, so the
+tests can check the region operations against exact rational arithmetic.
+"""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
-from spe_reach.timed import ClockRegion, region_of
+from spe_reach.timed import ClockRegion, Guard, _immediate_time_successor
+
+ClockValuation = tuple[Fraction, ...]
+
+_OP_FN = {
+    "le": operator.le,
+    "lt": operator.lt,
+    "eq": operator.eq,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+
+def _as_valuation(values: Sequence) -> ClockValuation:
+    vals = tuple(Fraction(x) for x in values)
+    for c, v in enumerate(vals):
+        if v < 0:
+            raise ValueError(f"clock {c}: value must be nonnegative, got {v}")
+    return vals
+
+
+def region_of(valuation: Sequence, maxima: Sequence[int]) -> ClockRegion:
+    """The canonical region containing the valuation."""
+    maxima = tuple(maxima)
+    vals = _as_valuation(valuation)
+    if len(vals) != len(maxima):
+        raise ValueError("valuation entries must match the clock count")
+    clipped: list[tuple[int, bool] | None] = []
+    by_fraction: dict[Fraction, list[int]] = {}
+    for c, v in enumerate(vals):
+        if v > maxima[c]:
+            clipped.append(None)
+            continue
+        ip = v.numerator // v.denominator
+        frac = v - ip
+        clipped.append((ip, frac == 0))
+        if frac != 0:
+            by_fraction.setdefault(frac, []).append(c)
+    order = tuple(frozenset(by_fraction[f]) for f in sorted(by_fraction))
+    return ClockRegion(maxima, tuple(clipped), order)
+
+
+def region_equiv(nu1: Sequence, nu2: Sequence, maxima: Sequence[int]) -> bool:
+    """True iff the two valuations lie in the same region."""
+    return region_of(nu1, maxima) == region_of(nu2, maxima)
+
+
+def time_successors(r: ClockRegion) -> tuple[ClockRegion, ...]:
+    """The chain of regions reached by letting time elapse.
+
+    Starts at r itself (delay 0 is allowed) and ends at the absorbing
+    region where every clock has passed its maximum.
+    """
+    chain = [r]
+    while True:
+        nxt = _immediate_time_successor(chain[-1])
+        if nxt is None:
+            return tuple(chain)
+        chain.append(nxt)
+
+
+def guard_sat_valuation(guard: Guard, valuation: Sequence) -> bool:
+    """Concrete guard satisfaction, used to cross-check the region version."""
+    vals = _as_valuation(valuation)
+    return all(_OP_FN[atom.op](vals[atom.clock], atom.const) for atom in guard)
+
+
+def reset_valuation(valuation: Sequence, resets: Iterable[int]) -> ClockValuation:
+    vals = list(_as_valuation(valuation))
+    for c in resets:
+        vals[c] = Fraction(0)
+    return tuple(vals)
+
+
+def region_representative(r: ClockRegion) -> ClockValuation:
+    """A concrete valuation inside r.
+
+    Fractional parts are assigned as distinct multiples of 1/(k+1) for k
+    clocks, respecting the fractional order; clocks past their maximum get
+    the maximum plus one.
+    """
+    k = len(r.maxima)
+    frac_of: dict[int, Fraction] = {}
+    for j, group in enumerate(r.frac_order):
+        for c in group:
+            frac_of[c] = Fraction(j + 1, k + 1)
+    out = []
+    for c in range(k):
+        info = r.clipped[c]
+        if info is None:
+            out.append(Fraction(r.maxima[c] + 1))
+        else:
+            ip, zero = info
+            out.append(Fraction(ip) if zero else ip + frac_of[c])
+    return tuple(out)
+
+
+def _ordered_partitions(items: frozenset[int]) -> Iterator[tuple[frozenset[int], ...]]:
+    if not items:
+        yield ()
+        return
+    elems = sorted(items)
+    m = len(elems)
+    for pick in range(1, 1 << m):
+        first = frozenset(elems[i] for i in range(m) if (pick >> i) & 1)
+        for tail in _ordered_partitions(items - first):
+            yield (first,) + tail
+
+
+def all_regions(maxima: Sequence[int]) -> list[ClockRegion]:
+    """Every canonical region for the given per-clock maxima."""
+    maxima = tuple(maxima)
+    options: list[list[tuple[int, bool] | None]] = []
+    for x in maxima:
+        opts: list[tuple[int, bool] | None] = [None]
+        opts.extend((ip, True) for ip in range(x + 1))
+        opts.extend((ip, False) for ip in range(x))
+        options.append(opts)
+    regions = []
+    for combo in product(*options):
+        fractional = frozenset(
+            c for c, info in enumerate(combo) if info is not None and not info[1]
+        )
+        for order in _ordered_partitions(fractional):
+            regions.append(ClockRegion(maxima, tuple(combo), order))
+    return regions
 
 
 def random_valuation(

@@ -9,6 +9,7 @@ from typing import Iterable, Iterator, Sequence
 from spe_reach.extended import build_extended_game
 from spe_reach.game import ConstraintProfile, FiniteGame
 from spe_reach.quotient import EquivalenceMap
+from spe_reach.timed import COMPARATORS, GuardAtom, PPTA, Transition
 
 
 def game_from_successors(
@@ -109,6 +110,49 @@ def random_game(
 def random_games(count: int, seed: int, **kwargs) -> list[FiniteGame]:
     rng = random.Random(seed)
     return [random_game(rng, **kwargs) for _ in range(count)]
+
+
+def random_ppta(rng: random.Random, max_locations: int = 4, max_const: int = 3) -> PPTA:
+    """A random timed automaton with 1-3 clocks and constants up to max_const.
+
+    Every location has an unguarded self-loop, so no region deadlocks; the
+    other transitions carry 0-2 guard atoms and reset each clock with
+    probability 0.3.
+    """
+    n_locations = rng.randint(2, max_locations)
+    n_clocks = rng.randint(1, 3)
+    n_players = rng.randint(1, 2)
+    alphabet = ("a", "b")
+    transitions = [Transition(loc, "a", (), frozenset(), loc) for loc in range(n_locations)]
+    for _ in range(rng.randint(n_locations, 3 * n_locations)):
+        guard = tuple(
+            GuardAtom(rng.randrange(n_clocks), rng.choice(COMPARATORS), rng.randint(0, max_const))
+            for _ in range(rng.randint(0, 2))
+        )
+        resets = frozenset(c for c in range(n_clocks) if rng.random() < 0.3)
+        transitions.append(
+            Transition(
+                rng.randrange(n_locations),
+                rng.choice(alphabet),
+                guard,
+                resets,
+                rng.randrange(n_locations),
+            )
+        )
+    rng.shuffle(transitions)
+    return PPTA(
+        n_players=n_players,
+        alphabet=alphabet,
+        clock_names=tuple(f"x{c}" for c in range(n_clocks)),
+        location_names=tuple(f"l{loc}" for loc in range(n_locations)),
+        owners=tuple(rng.randrange(n_players) for _ in range(n_locations)),
+        transitions=tuple(transitions),
+        goals=tuple(
+            frozenset(loc for loc in range(n_locations) if rng.random() < 0.3)
+            for _ in range(n_players)
+        ),
+        initial=rng.randrange(n_locations),
+    )
 
 
 def dense_small_games() -> list[FiniteGame]:

@@ -23,20 +23,19 @@ from spe_reach.fixpoint import (
 from spe_reach.game import ConstraintProfile, FiniteGame, gain_of_lasso
 from spe_reach.oracle import oracle_decide
 from spe_reach.quotient import quotient_game
-from spe_reach.timed import (
-    PPTA,
+from spe_reach.timed import PPTA, build_region_game, guard_sat_region, reset_region
+
+from clock_samples import (
     all_regions,
-    build_region_game,
-    guard_sat_region,
+    delay_reaching,
     guard_sat_valuation,
+    random_member,
+    random_valuation,
     region_of,
     region_representative,
-    reset_region,
     reset_valuation,
     time_successors,
 )
-
-from clock_samples import delay_reaching, random_member, random_valuation
 from generators import (
     all_constraints,
     clone_game,

@@ -207,6 +207,17 @@ class TestSolveCommand:
             assert run.returncode == status, run.stderr
             assert run.stdout.splitlines()[0] == first
 
+    def test_import_leaves_out_test_helpers(self):
+        # the concrete-valuation helpers live in the tests; importing the CLI
+        # must not pull in their dependencies, which would add to every solve
+        src = Path(spe_reach.__file__).parent.parent
+        run = subprocess.run(
+            [sys.executable, "-c", "import spe_reach.cli, sys; print('fractions' in sys.modules)"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
     def test_bad_player_flag_exit_2(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "9=win"]) == 2
         assert main(["solve", fork_file, "--player", "0=maybe"]) == 2
@@ -258,6 +269,25 @@ class TestSolveTimedCommand:
         assert main(["solve-timed", str(path)]) == 2
         err = capsys.readouterr().err
         assert "l2" in err and "deadlock" in err
+
+    def test_region_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        # waiting for x >= 3,000,000 spans a chain of about 6M clock regions
+        long_wait = {
+            "players": 1,
+            "alphabet": ["a"],
+            "clocks": ["x"],
+            "locations": [{"name": "l0", "owner": 0}],
+            "transitions": [
+                {"from": "l0", "letter": "a", "guard": [{"clock": "x", "op": "ge", "const": 3_000_000}], "reset": [], "to": "l0"},
+            ],
+            "goals": [["l0"]],
+            "initial": "l0",
+        }
+        path = tmp_path / "long-wait.json"
+        path.write_text(json.dumps(long_wait), encoding="utf-8")
+        monkeypatch.setenv("SPE_REACH_MAX_EXT_VERTICES", "1000")
+        assert main(["solve-timed", str(path)]) == 3
+        assert "cap of 1000 clock regions" in capsys.readouterr().err
 
 
 class TestRegionsCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,21 +14,27 @@ from spe_reach.timed import (
     GuardAtom,
     PPTA,
     Transition,
-    all_regions,
     build_region_game,
     describe_region,
     guard_sat_region,
-    guard_sat_valuation,
-    region_equiv,
-    region_of,
-    region_representative,
     reset_region,
-    reset_valuation,
-    time_successors,
     validate_ppta,
 )
 
-from clock_samples import delay_reaching, random_member, random_valuation
+from clock_samples import (
+    all_regions,
+    delay_reaching,
+    guard_sat_valuation,
+    random_member,
+    random_valuation,
+    region_equiv,
+    region_of,
+    region_representative,
+    reset_valuation,
+    time_successors,
+)
+from generators import random_ppta
+from reference_regions import reference_build_region_game
 
 
 def _region(maxima, clipped, order=()):
@@ -248,6 +255,20 @@ def two_clock_handover_ppta() -> PPTA:
     )
 
 
+def long_wait_ppta(const: int) -> PPTA:
+    """One location whose only move waits until the clock reaches const."""
+    return PPTA(
+        n_players=1,
+        alphabet=("a",),
+        clock_names=("x",),
+        location_names=("l0",),
+        owners=(0,),
+        transitions=(Transition(0, "a", (GuardAtom(0, "ge", const),), frozenset(), 0),),
+        goals=(frozenset({0}),),
+        initial=0,
+    )
+
+
 def zero_clock_fork_ppta() -> PPTA:
     return PPTA(
         n_players=1,
@@ -331,6 +352,40 @@ class TestBuildRegionGame:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             build_region_game(one_clock_choice_ppta(), max_vertices=3)
+
+    def test_cap_bounds_clock_regions(self):
+        # the guard's time-successor chain has about 6M regions; the cap must
+        # stop the construction long before that chain is built
+        with pytest.raises(SizeCapError, match="cap of 1000 clock regions"):
+            build_region_game(long_wait_ppta(3_000_000), max_vertices=1000)
+
+    def test_matches_reference_on_random_automata(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            a = random_ppta(rng)
+            assert build_region_game(a) == reference_build_region_game(a)
+
+    def test_matches_reference_on_fixed_automata(self):
+        for a in (one_clock_choice_ppta(), two_clock_handover_ppta(), zero_clock_fork_ppta()):
+            assert build_region_game(a) == reference_build_region_game(a)
+
+    def test_deadlock_matches_reference(self):
+        a = two_clock_handover_ppta()
+        # the only move out of l2 needs y = 0, which no delay brings back once
+        # y has left 0
+        a = dataclasses.replace(
+            a,
+            transitions=a.transitions[:-1]
+            + (Transition(2, "c", (GuardAtom(1, "eq", 0),), frozenset(), 2),),
+        )
+        with pytest.raises(DeadlockedRegionError) as ours:
+            build_region_game(a)
+        with pytest.raises(DeadlockedRegionError) as reference:
+            reference_build_region_game(a)
+        assert (ours.value.location, ours.value.region) == (
+            reference.value.location,
+            reference.value.region,
+        )
 
     def test_invalid_ppta_rejected(self):
         a = PPTA(
