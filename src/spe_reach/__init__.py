@@ -2,8 +2,9 @@
 
 Explicit finite games are decided through the extended game and a labeling
 fixpoint; timed games are reduced to finite ones by the clock-region
-quotient first. A bounded brute-force oracle cross-checks the solver on
-small instances.
+quotient first. A bounded brute-force oracle (``spe_reach.oracle``)
+cross-checks the solver on small instances; it and ``spe_reach.quotient``
+are left out of this namespace so that importing the solver stays cheap.
 """
 
 from .errors import DeadlockedRegionError, InputError, InvalidLassoError, SizeCapError
@@ -29,19 +30,6 @@ from .game import (
     validate_game,
 )
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
-from .oracle import (
-    ORACLE_MAX_EXT_VERTICES,
-    enumerate_lassos,
-    oracle_decide,
-    oracle_lambda_star,
-)
-from .quotient import (
-    EquivalenceMap,
-    check_bisimulation,
-    check_respects_partition,
-    check_respects_targets,
-    quotient_game,
-)
 from .timed import (
     ClockRegion,
     GuardAtom,
@@ -60,7 +48,6 @@ __all__ = [
     "ConstraintProfile",
     "DeadlockedRegionError",
     "Decision",
-    "EquivalenceMap",
     "ExtendedGame",
     "FiniteGame",
     "GainProfile",
@@ -69,7 +56,6 @@ __all__ = [
     "InvalidLassoError",
     "Labeling",
     "LassoPlay",
-    "ORACLE_MAX_EXT_VERTICES",
     "PPTA",
     "RegionGame",
     "SizeCapError",
@@ -77,14 +63,10 @@ __all__ = [
     "Witness",
     "build_extended_game",
     "build_region_game",
-    "check_bisimulation",
-    "check_respects_partition",
-    "check_respects_targets",
     "compute_lambda_star",
     "decide_constrained_existence",
     "describe_region",
     "dump_finite_game",
-    "enumerate_lassos",
     "exists_consistent_play",
     "gain_of_lasso",
     "guard_sat_region",
@@ -95,9 +77,6 @@ __all__ = [
     "lift_lasso",
     "load_finite_game",
     "load_ppta",
-    "oracle_decide",
-    "oracle_lambda_star",
-    "quotient_game",
     "reset_region",
     "validate_game",
     "validate_ppta",

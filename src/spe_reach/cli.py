@@ -20,7 +20,6 @@ from .errors import InputError, SizeCapError
 from .fixpoint import Decision, decide_constrained_existence
 from .game import ConstraintProfile, FiniteGame
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
-from .oracle import ORACLE_MAX_EXT_VERTICES, oracle_decide
 from .timed import build_region_game
 
 DEFAULT_MAX_EXT_VERTICES = 1 << 22
@@ -80,7 +79,7 @@ def _print_witness(decision: Decision) -> None:
             print("  (empty)")
         for x in vertices:
             base, sat = xg.origin[x]
-            players = ",".join(str(i) for i in range(xg.game.n_players) if (sat >> i) & 1)
+            players = ",".join(str(i) for i in range(xg.n_players) if (sat >> i) & 1)
             print(f"  {names[base]}  {{{players}}}")
 
     rows("prefix", decision.witness.extended.prefix)
@@ -90,13 +89,15 @@ def _print_witness(decision: Decision) -> None:
 def _print_labeling(decision: Decision) -> None:
     xg = decision.extended_game
     print("labeling fixpoint:")
-    for x, name in enumerate(xg.game.vertex_names):
-        print(f"  {name}  {decision.lambda_star[x]}")
+    for x, label in enumerate(decision.lambda_star):
+        print(f"  {xg.vertex_name(x)}  {label}")
     print(f"iterations to fixpoint: {decision.k_star}")
 
 
 def _print_oracle_line(g: FiniteGame, c: ConstraintProfile, decision: Decision) -> None:
-    if decision.extended_game.game.n_vertices > ORACLE_MAX_EXT_VERTICES:
+    from .oracle import ORACLE_MAX_EXT_VERTICES, oracle_decide
+
+    if decision.extended_game.n_vertices > ORACLE_MAX_EXT_VERTICES:
         print("oracle: skipped (extended game too large)")
         return
     agreed = oracle_decide(g, c) == decision.answer
@@ -146,12 +147,14 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .oracle import ORACLE_MAX_EXT_VERTICES, oracle_decide
+
     g = load_finite_game(args.game)
     c = _parse_constraint(args.player, g.n_players)
     decision = decide_constrained_existence(g, c, max_ext_vertices=_max_ext_vertices())
-    if decision.extended_game.game.n_vertices > ORACLE_MAX_EXT_VERTICES:
+    if decision.extended_game.n_vertices > ORACLE_MAX_EXT_VERTICES:
         raise InputError(
-            f"extended game has {decision.extended_game.game.n_vertices} vertices; "
+            f"extended game has {decision.extended_game.n_vertices} vertices; "
             f"the oracle only handles up to {ORACLE_MAX_EXT_VERTICES}"
         )
     oracle_answer = oracle_decide(g, c)

@@ -6,12 +6,16 @@ every suffix of an infinite play has the same gain profile as the play
 itself; the labeling fixpoint relies on this. Only the fragment reachable
 from the initial vertex is materialized, which is usually far smaller than
 the full product with all player subsets.
+
+The builder records owners, successors and predecessors in the same BFS
+that discovers the vertices; that adjacency is all the solver reads. Vertex
+names, lettered edges and target sets exist only in the lazy ``game`` view,
+which the oracle, the lasso checks and tools use.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, SizeCapError
@@ -28,17 +32,30 @@ class ExtendedGame:
     """Reachable satisfied-set product of a finite reachability game.
 
     ``origin[x]`` gives the (base vertex, satisfied players mask) pair behind
-    extended vertex x. An extended vertex belongs to player i's target set
-    exactly when i is in its satisfied mask.
+    extended vertex x; vertex 0 is the initial one. An extended vertex
+    belongs to player i's target set exactly when i is in its satisfied
+    mask. ``owner``, ``successors`` and ``predecessors`` are derived from
+    base and origin, so equality and hashing look at those two only; both
+    adjacency tuples list each neighbour once, ascending.
     """
 
     base: FiniteGame
-    game: FiniteGame
     origin: tuple[tuple[int, int], ...]
+    owner: tuple[int, ...] = field(compare=False, repr=False)
+    successors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    predecessors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.origin)
+
+    @property
+    def n_players(self) -> int:
+        return self.base.n_players
 
     @property
     def x0(self) -> int:
-        return self.game.initial
+        return 0
 
     @cached_property
     def satisfied(self) -> tuple[int, ...]:
@@ -52,6 +69,40 @@ class ExtendedGame:
     def index(self) -> dict[tuple[int, int], int]:
         return {pair: i for i, pair in enumerate(self.origin)}
 
+    def vertex_name(self, x: int) -> str:
+        """The display name ``base|{i,j}`` of extended vertex x."""
+        v, sat = self.origin[x]
+        return f"{self.base.vertex_names[v]}|{_set_name(sat)}"
+
+    @cached_property
+    def game(self) -> FiniteGame:
+        """The extended game as a named, lettered FiniteGame, built on first access.
+
+        Edges follow the base ``out_edges`` of each vertex in vertex order,
+        which is the order the BFS discovered them in.
+        """
+        g = self.base
+        tm = g.target_mask
+        index = self.index
+        edges = tuple(
+            (x, letter, index[(dst, sat | tm[dst])])
+            for x, (v, sat) in enumerate(self.origin)
+            for letter, dst in g.out_edges[v]
+        )
+        sat = self.satisfied
+        return FiniteGame(
+            n_players=g.n_players,
+            alphabet=g.alphabet,
+            vertex_names=tuple(self.vertex_name(x) for x in range(self.n_vertices)),
+            edges=edges,
+            owner=self.owner,
+            targets=tuple(
+                frozenset(x for x, m in enumerate(sat) if (m >> i) & 1)
+                for i in range(g.n_players)
+            ),
+            initial=0,
+        )
+
     def project(self, rho: LassoPlay) -> LassoPlay:
         """Map a lasso over extended vertices back onto base vertices."""
         bv = self.base_vertex
@@ -60,55 +111,59 @@ class ExtendedGame:
         )
 
 
-def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> ExtendedGame:
+def build_extended_game(
+    g: FiniteGame, max_vertices: int | None = None, *, validate: bool = True
+) -> ExtendedGame:
     """Construct the reachable extended game of g.
 
     Edges mirror the base edges while accumulating, per target vertex hit,
     the players that are now satisfied; the initial satisfied set already
     accounts for the initial vertex. Plays from the base initial vertex and
-    plays from the extended initial vertex correspond one to one.
+    plays from the extended initial vertex correspond one to one. Vertices
+    are numbered in BFS order over the base ``out_edges``, in declaration
+    order: witnesses and the printed labeling follow this numbering. A
+    caller that has already validated g may pass ``validate=False``.
     """
-    problems = validate_game(g)
-    if problems:
-        raise InputError("cannot extend ill-formed game: " + problems[0])
-    tm = g.target_mask
+    if validate:
+        problems = validate_game(g)
+        if problems:
+            raise InputError("cannot extend ill-formed game: " + problems[0])
+    tm, base_owner, out_edges = g.target_mask, g.owner, g.out_edges
     start = (g.initial, tm[g.initial])
     order: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
-    queue: deque[tuple[int, int]] = deque([start])
-    edges: list[tuple[int, str, int]] = []
-    while queue:
-        v, sat = pair = queue.popleft()
-        xi = order[pair]
-        for letter, dst in g.out_edges[v]:
-            succ = (dst, sat | tm[dst])
-            xj = order.get(succ)
+    owner: list[int] = []
+    succ: list[tuple[int, ...]] = []
+    pred: list[list[int]] = [[]]
+    # pairs grows while it is walked: visiting ids in order is the BFS
+    for xi, (v, sat) in enumerate(pairs):
+        owner.append(base_owner[v])
+        row: list[int] = []
+        for _, dst in out_edges[v]:
+            nxt = (dst, sat | tm[dst])
+            xj = order.get(nxt)
             if xj is None:
-                xj = len(order)
+                xj = len(pairs)
                 if max_vertices is not None and xj >= max_vertices:
                     raise SizeCapError(
                         f"extended game would exceed the cap of {max_vertices} vertices"
                     )
-                order[succ] = xj
-                pairs.append(succ)
-                queue.append(succ)
-            edges.append((xi, letter, xj))
-    names = tuple(f"{g.vertex_names[v]}|{_set_name(sat)}" for v, sat in pairs)
-    owners = tuple(g.owner[v] for v, _ in pairs)
-    target_sets = tuple(
-        frozenset(x for x, (_, sat) in enumerate(pairs) if (sat >> i) & 1)
-        for i in range(g.n_players)
+                order[nxt] = xj
+                pairs.append(nxt)
+                pred.append([])
+            elif pred[xj] and pred[xj][-1] == xi:
+                continue  # another letter to the same vertex
+            row.append(xj)
+            pred[xj].append(xi)
+        row.sort()
+        succ.append(tuple(row))
+    return ExtendedGame(
+        base=g,
+        origin=tuple(pairs),
+        owner=tuple(owner),
+        successors=tuple(succ),
+        predecessors=tuple(map(tuple, pred)),
     )
-    ext = FiniteGame(
-        n_players=g.n_players,
-        alphabet=g.alphabet,
-        vertex_names=names,
-        edges=tuple(edges),
-        owner=owners,
-        targets=target_sets,
-        initial=0,
-    )
-    return ExtendedGame(base=g, game=ext, origin=tuple(pairs))
 
 
 def lift_lasso(xg: ExtendedGame, rho: LassoPlay) -> LassoPlay:

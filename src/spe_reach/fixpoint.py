@@ -27,7 +27,7 @@ Labeling = tuple[int, ...]
 
 def initial_labeling(xg: ExtendedGame) -> Labeling:
     """The all-zero labeling the iteration starts from."""
-    return (0,) * xg.game.n_vertices
+    return (0,) * xg.n_vertices
 
 
 def is_consistent(xg: ExtendedGame, lam: Labeling, rho: LassoPlay) -> bool:
@@ -65,15 +65,14 @@ def _surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
     owned by a loser but labeled 1, and then iteratively everything left
     without a successor, so any surviving vertex can continue forever.
     """
-    g = xg.game
-    n = g.n_vertices
-    lose_mask = ((1 << g.n_players) - 1) ^ win_mask
-    sat = xg.satisfied
+    n = xg.n_vertices
+    lose_mask = ((1 << xg.n_players) - 1) ^ win_mask
+    sat, owner = xg.satisfied, xg.owner
     alive = [
-        not (sat[v] & lose_mask) and not (lam[v] and (lose_mask >> g.owner[v]) & 1)
+        not (sat[v] & lose_mask) and not (lam[v] and (lose_mask >> owner[v]) & 1)
         for v in range(n)
     ]
-    succ = g.successors
+    succ = xg.successors
     out = [0] * n
     dead: deque[int] = deque()
     for v in range(n):
@@ -82,7 +81,7 @@ def _surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
         out[v] = sum(1 for w in succ[v] if alive[w])
         if out[v] == 0:
             dead.append(v)
-    pred = g.predecessors
+    pred = xg.predecessors
     while dead:
         v = dead.popleft()
         alive[v] = False
@@ -106,19 +105,18 @@ def exists_consistent_play(
     witness is deterministic: shortest path to the first such vertex, then
     the first cycle along least-index successors.
     """
-    g = xg.game
-    n = g.n_vertices
+    n = xg.n_vertices
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} is not in the extended game")
     if len(lam) != n:
         raise ValueError("labeling must be total over the extended vertices")
-    if p.n != g.n_players:
+    if p.n != xg.n_players:
         raise ValueError("gain profile does not match the player count")
     alive = _surviving(xg, lam, p.mask)
     if not alive[start]:
         return None
     sat = xg.satisfied
-    succ = g.successors
+    succ = xg.successors
     goal: int | None = start if sat[start] == p.mask else None
     parent: dict[int, int | None] = {start: None}
     if goal is None:
@@ -161,9 +159,9 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     skipping such label-1 vertices, ORs the losers into ``canlose`` of each
     vertex it reaches. A vertex looping only in a lower layer is not reached.
     """
-    g, n = xg.game, len(lam)
-    owner, succ, pred = g.owner, g.successors, g.predecessors
-    full = (1 << g.n_players) - 1
+    n = len(lam)
+    owner, succ, pred = xg.owner, xg.successors, xg.predecessors
+    full = (1 << xg.n_players) - 1
     blocked = [label << i for label, i in zip(lam, owner)]  # the owner bit if labeled 1
     layers: dict[int, list[int]] = {}
     for v, m in enumerate(xg.satisfied):
@@ -249,7 +247,10 @@ def decide_constrained_existence(
     Builds the extended game, computes the fixpoint labeling, and scans the
     admissible gain profiles in ascending numeric order (player 0 at the
     least significant bit) for a consistent lasso from the initial vertex;
-    the first hit is returned as the witness.
+    the first hit is returned as the witness. A play with gain m ends among
+    the extended vertices with satisfied set m, so only the sets that occur
+    are scanned, and the work is bounded by the extended game rather than
+    by the 2^n profiles.
     """
     problems = validate_game(g)
     if problems:
@@ -258,10 +259,12 @@ def decide_constrained_existence(
         raise InputError(
             f"constraint covers {c.n} players but the game has {g.n_players}"
         )
-    xg = build_extended_game(g, max_vertices=max_ext_vertices)
+    xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
     lam, k = compute_lambda_star(xg)
-    for mask in c.admissible_masks():
+    for mask in sorted(set(xg.satisfied)):
         profile = GainProfile(mask, g.n_players)
+        if not c.admits(profile):
+            continue
         found = exists_consistent_play(xg, lam, xg.x0, profile)
         if found is not None:
             witness = Witness(profile, found, xg.project(found))

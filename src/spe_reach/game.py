@@ -97,13 +97,6 @@ class ConstraintProfile:
     def admits(self, p: GainProfile) -> bool:
         return self.lower <= p and p <= self.upper
 
-    def admissible_masks(self) -> Iterator[int]:
-        """Masks m with lower <= m <= upper, ascending, player 0 at bit 0."""
-        lo, up = self.lower.mask, self.upper.mask
-        for m in range(1 << self.n):
-            if lo | m == m and m | up == up:
-                yield m
-
 
 @dataclass(frozen=True)
 class FiniteGame:

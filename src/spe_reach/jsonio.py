@@ -34,7 +34,7 @@ def _load_object(source) -> tuple[dict, str]:
         raise InputError(f"{path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad syntax, or an int over 4300 digits
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")

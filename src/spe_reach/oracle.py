@@ -91,7 +91,7 @@ def enumerate_lassos(
 
 
 def _guard(xg: ExtendedGame) -> None:
-    n = xg.game.n_vertices
+    n = xg.n_vertices
     if n > ORACLE_MAX_EXT_VERTICES:
         raise ValueError(
             f"extended game has {n} vertices; the oracle refuses instances "

@@ -103,7 +103,7 @@ def random_game(
         g = game_from_successors(succ_sets, owners, targets, n_players, initial=rng.randrange(n))
         if max_ext_vertices is None:
             return g
-        if build_extended_game(g).game.n_vertices <= max_ext_vertices:
+        if build_extended_game(g).n_vertices <= max_ext_vertices:
             return g
 
 

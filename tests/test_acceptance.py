@@ -43,6 +43,7 @@ from generators import (
     exhaustive_grid,
     random_games,
 )
+from reference_extended import reference_build_extended_game
 from reference_fixpoint import reference_lambda_step
 from test_timed import (
     one_clock_choice_ppta,
@@ -79,12 +80,13 @@ class SweepResult:
     bound_failures: list = field(default_factory=list)
     unconstrained_failures: list = field(default_factory=list)
     witness_failures: list = field(default_factory=list)
+    builder_failures: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="module")
 def sweep() -> SweepResult:
     """One pass over the whole finite-game corpus; criteria 1, 2, 3, and 7
-    read different aspects of it."""
+    and the extended-builder identity read different aspects of it."""
     result = SweepResult()
     corpus = chain(
         exhaustive_grid(),
@@ -95,7 +97,12 @@ def sweep() -> SweepResult:
         result.games += 1
         label = f"game#{result.games}"
         xg = build_extended_game(g)
-        n_ext = xg.game.n_vertices
+        ref, origin = reference_build_extended_game(g)
+        if (xg.origin, xg.successors, xg.predecessors) != (origin, ref.successors, ref.predecessors):
+            result.builder_failures.append(f"{label}: adjacency differs from the reference")
+        elif xg.game != ref:
+            result.builder_failures.append(f"{label}: game view differs from the reference")
+        n_ext = xg.n_vertices
         lam_star, k_star = compute_lambda_star(xg)
 
         # replay the chain with the independent mask-by-mask step
@@ -145,6 +152,14 @@ def test_criterion_2_fixpoint_bounds(sweep):
     print(
         f"\ncriterion 2 (fixpoint lemma bounds): PASS - monotone chains, "
         f"k* within the vertex bound on all {sweep.games} games"
+    )
+
+
+def test_extended_builder_matches_reference(sweep):
+    assert not sweep.builder_failures, sweep.builder_failures[:10]
+    print(
+        f"\nextended builder: PASS - adjacency and game view equal the reference "
+        f"construction on all {sweep.games} games"
     )
 
 

@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import spe_reach
+from spe_reach import cli
 from spe_reach.cli import main
 from spe_reach.errors import InputError
+from spe_reach.game import ConstraintProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
+from spe_reach.oracle import oracle_decide
 
 FORK_GAME = {
     "players": 1,
@@ -195,6 +199,12 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_huge_integer_literal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"players": ' + "9" * 5000 + "}", encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_module_entry_point(self, fork_file):
         src = Path(spe_reach.__file__).parent.parent
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -208,15 +218,61 @@ class TestSolveCommand:
             assert run.stdout.splitlines()[0] == first
 
     def test_import_leaves_out_test_helpers(self):
-        # the concrete-valuation helpers live in the tests; importing the CLI
-        # must not pull in their dependencies, which would add to every solve
+        # the concrete-valuation helpers live in the tests, and the oracle and
+        # quotient modules are loaded only on demand; importing the CLI must
+        # pull in none of them, which would add to every solve
         src = Path(spe_reach.__file__).parent.parent
+        modules = ("fractions", "spe_reach.oracle", "spe_reach.quotient")
+        code = f"import spe_reach.cli, sys; print([m in sys.modules for m in {modules!r}])"
         run = subprocess.run(
-            [sys.executable, "-c", "import spe_reach.cli, sys; print('fractions' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
+        assert run.stdout.strip() == "[False, False, False]"
+
+    def test_leaves_the_game_view_unbuilt(self, fork_file, monkeypatch, capsys):
+        decisions = []
+        original = cli.decide_constrained_existence
+
+        def decide(*args, **kwargs):
+            decisions.append(original(*args, **kwargs))
+            return decisions[-1]
+
+        monkeypatch.setattr(cli, "decide_constrained_existence", decide)
+        assert main(["solve", fork_file, "--witness", "--lambda"]) == 0
+        assert "  A|{}  1\n  B|{0}  1\n  C|{}  0\n" in capsys.readouterr().out
+        assert "game" not in decisions[0].extended_game.__dict__
+
+    def test_many_players_answer_fast(self, tmp_path):
+        # one vertex that is a target of every player: the profile scan must
+        # not walk all 2^30 masks; a subprocess turns a hang into a failure
+        def one_vertex(players):
+            game = {
+                "players": players,
+                "alphabet": ["a"],
+                "vertices": [{"name": "A", "owner": 0}],
+                "edges": [{"from": "A", "letter": "a", "to": "A"}],
+                "targets": [["A"]] * players,
+                "initial": "A",
+            }
+            path = tmp_path / f"one_{players}.json"
+            path.write_text(json.dumps(game), encoding="utf-8")
+            return str(path)
+
+        src = Path(spe_reach.__file__).parent.parent
+        flags = ["--player", "0=win", "--player", "2=any", "--witness", "--lambda"]
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "spe_reach", "solve", one_vertex(30), *flags],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+        )
+        assert time.perf_counter() - start < 1.0
+        small = load_finite_game(one_vertex(3))
+        expected = oracle_decide(small, ConstraintProfile.from_words(["win", "any", "any"]))
+        assert run.returncode == (0 if expected else 1), run.stderr
+        assert f"witness gain: ({','.join(['1'] * 30)})" in run.stdout
+        assert f"A|{{{','.join(map(str, range(30)))}}}  1" in run.stdout
 
     def test_bad_player_flag_exit_2(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "9=win"]) == 2

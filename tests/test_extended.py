@@ -7,6 +7,7 @@ from spe_reach.extended import build_extended_game, lift_lasso
 from spe_reach.game import FiniteGame, LassoPlay, gain_of_lasso
 
 from generators import random_games
+from reference_extended import reference_build_extended_game
 
 
 def test_chain_game_structure(chain_game):
@@ -74,6 +75,66 @@ def test_ill_formed_game_rejected(chain_game):
     )
     with pytest.raises(InputError, match="blocking"):
         build_extended_game(broken)
+
+
+def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> None:
+    try:
+        ref, origin = reference_build_extended_game(g, max_vertices)
+    except SizeCapError:
+        with pytest.raises(SizeCapError):
+            build_extended_game(g, max_vertices)
+        return
+    xg = build_extended_game(g, max_vertices)
+    assert xg.origin == origin
+    assert xg.owner == ref.owner
+    assert xg.successors == ref.successors
+    assert xg.predecessors == ref.predecessors
+    assert "game" not in xg.__dict__
+    assert xg.game == ref
+    assert [xg.vertex_name(x) for x in range(xg.n_vertices)] == list(ref.vertex_names)
+
+
+def lettered_game(rng: random.Random) -> FiniteGame:
+    """A random game whose edges are declared out of order, some under two
+    letters and some twice, so discovery order is not ascending order."""
+    n = rng.randint(1, 9)
+    players = rng.randint(1, 4)
+    edges = [
+        (v, letter, w)
+        for v in range(n)
+        for w in rng.sample(range(n), rng.randint(1, min(3, n)))
+        for letter in rng.sample("ab", rng.randint(1, 2))
+    ]
+    rng.shuffle(edges)
+    edges += rng.sample(edges, min(2, len(edges)))
+    return FiniteGame(
+        n_players=players,
+        alphabet=("a", "b"),
+        vertex_names=tuple(f"v{i}" for i in range(n)),
+        edges=tuple(edges),
+        owner=tuple(rng.randrange(players) for _ in range(n)),
+        targets=tuple(
+            frozenset(v for v in range(n) if rng.random() < 0.3) for _ in range(players)
+        ),
+        initial=rng.randrange(n),
+    )
+
+
+class TestMatchesReference:
+    def test_random_lettered_games(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            g = lettered_game(rng)
+            assert_matches_reference(g)
+            assert_matches_reference(g, max_vertices=rng.randint(1, 12))
+
+    def test_random_games(self):
+        for g in random_games(150, seed=47, max_players=4, max_ext_vertices=None):
+            assert_matches_reference(g)
+
+    def test_fixtures(self, chain_game, fork_game):
+        assert_matches_reference(chain_game)
+        assert_matches_reference(fork_game)
 
 
 class TestLiftLasso:

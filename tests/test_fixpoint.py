@@ -293,3 +293,33 @@ class TestDecide:
         d = decide_constrained_existence(g, ConstraintProfile.from_words(["any", "any"]))
         assert d.answer
         assert d.witness.gain.mask == 0
+
+    def test_invalid_game_reports_every_problem(self, chain_game):
+        broken = FiniteGame(
+            n_players=1,
+            alphabet=chain_game.alphabet,
+            vertex_names=chain_game.vertex_names,
+            edges=((0, "z", 1),),
+            owner=chain_game.owner,
+            targets=chain_game.targets,
+            initial=0,
+        )
+        with pytest.raises(InputError, match="not in the alphabet; .*blocking"):
+            decide_constrained_existence(broken, ConstraintProfile.from_words(["any"]))
+
+    def test_validates_once_per_decision(self, fork_game, monkeypatch):
+        from spe_reach import extended, fixpoint
+
+        calls = []
+        for module in (extended, fixpoint):
+            checker = module.validate_game
+            monkeypatch.setattr(
+                module, "validate_game", lambda g, check=checker: calls.append(g) or check(g)
+            )
+        decide_constrained_existence(fork_game, ConstraintProfile.from_words(["any"]))
+        assert calls == [fork_game]
+
+    def test_leaves_the_game_view_unbuilt(self):
+        for g in random_games(20, seed=67):
+            d = decide_constrained_existence(g, ConstraintProfile.from_words(["any"] * g.n_players))
+            assert "game" not in d.extended_game.__dict__

@@ -1,0 +1,117 @@
+"""Fuzzing the CLI's input files: every input ends in a documented exit code.
+
+Arbitrary bytes, and small mutations of valid game and automaton files, are
+given to ``solve``, ``solve-timed`` and ``regions``. Each run must return
+0 (YES), 1 (NO), 2 (bad input) or 3 (size cap) and never raise: an uncaught
+exception would exit 1 with a traceback, which reads as "NO". The size cap
+is kept small so that no example can grow a large game.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spe_reach.cli import ENV_MAX_EXT_VERTICES, main
+
+from test_cli import FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA
+
+DOCUMENTS = (FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA)
+COMMANDS = (
+    ["solve", "--witness", "--lambda"],
+    ["solve-timed", "--witness", "--lambda"],
+    ["regions"],
+)
+# names and keys of the documents, so mutations often stay almost valid
+WORDS = sorted(
+    {"A", "B", "C", "a", "b", "c", "x", "y", "l0", "l1", "l2", "le", "lt", "eq", "gt", "ge"}
+    | {key for doc in DOCUMENTS for key in doc}
+    | {"name", "owner", "from", "to", "letter", "guard", "reset", "clock", "op", "const"}
+)
+
+# number literals json.dumps never writes; values drawn as their index are
+# spliced into the text raw
+RAW_LITERALS = ("9" * 5000, "1e999", "-1e999", "NaN", "-0", "1.0", "1e2")
+RAW_MARK = "\x00raw"
+
+json_values = st.recursive(
+    st.none()
+    | st.sampled_from(range(len(RAW_LITERALS))).map(lambda k: f"{RAW_MARK}{k}")
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from([-(10**30), 10**6, 10**30])
+    | st.floats()
+    | st.sampled_from(WORDS)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(WORDS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three values replaced, deleted or duplicated."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        key = path[-1]
+        action = draw(st.sampled_from(("replace", "delete", "duplicate")))
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+    text = json.dumps(doc)
+    for k, literal in enumerate(RAW_LITERALS):
+        text = text.replace(json.dumps(f"{RAW_MARK}{k}"), literal)
+    return text.encode()
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(ENV_MAX_EXT_VERTICES, "64")
+        yield tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def _run_all(path, data: bytes) -> None:
+    path.write_bytes(data)
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main([command[0], str(path), *command[1:]])
+        assert status in (0, 1, 2, 3), (command, data)
+        assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=200))
+def test_any_bytes(input_path, data):
+    _run_all(input_path, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_documents())
+def test_mutated_documents(input_path, data):
+    _run_all(input_path, data)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from spe_reach import fixpoint
 from spe_reach.errors import InputError, InvalidLassoError
 from spe_reach.game import (
     ConstraintProfile,
@@ -52,9 +53,33 @@ class TestConstraintProfile:
         with pytest.raises(ValueError):
             ConstraintProfile(GainProfile.from_bits([1]), GainProfile.from_bits([0]))
 
-    def test_admissible_masks_ascending(self):
-        c = ConstraintProfile.from_words(["any", "win"])
-        assert list(c.admissible_masks()) == [0b10, 0b11]
+    def test_admissible_masks_ascending(self, monkeypatch):
+        # the decision scans the admissible satisfied sets that occur, ascending
+        tried = []
+
+        def record(xg, lam, start, p):
+            tried.append(p.mask)
+            return None
+
+        monkeypatch.setattr(fixpoint, "exists_consistent_play", record)
+
+        def scanned(edges, words):
+            tried.clear()
+            g = FiniteGame.build(
+                vertices=["I", "A", "B"],
+                edges=[(src, "a", dst) for src, dst in edges],
+                owner={"I": 0, "A": 0, "B": 1},
+                targets=[["A"], ["B"]],
+                initial="I",
+            )
+            assert not fixpoint.decide_constrained_existence(g, ConstraintProfile.from_words(words)).answer
+            return list(tried)
+
+        every_set = [("I", "A"), ("I", "B"), ("A", "B"), ("B", "B")]  # sets 0, {0}, {1}, {0,1}
+        assert scanned(every_set, ["any", "win"]) == [0b10, 0b11]
+        assert scanned(every_set, ["win", "any"]) == [0b01, 0b11]
+        assert scanned(every_set, ["lose", "lose"]) == [0b00]
+        assert scanned([("I", "A"), ("A", "B"), ("B", "B")], ["any", "win"]) == [0b11]
 
     def test_admits(self):
         c = ConstraintProfile.from_words(["win", "any"])
