@@ -2,9 +2,11 @@
 
 Explicit finite games are decided through the extended game and a labeling
 fixpoint; timed games are reduced to finite ones by the clock-region
-quotient first. A bounded brute-force oracle (``spe_reach.oracle``)
-cross-checks the solver on small instances; it and ``spe_reach.quotient``
-are left out of this namespace so that importing the solver stays cheap.
+quotient first. All three graphs (the input arena, the region game and the
+extended game's ``game`` view) are ``FiniteGame`` values that store one
+per-vertex row of (letter, target) edges. A bounded brute-force oracle
+(``spe_reach.oracle``) cross-checks the solver on small instances; it is
+left out of this namespace so that importing the solver stays cheap.
 """
 
 from .errors import DeadlockedRegionError, InputError, InvalidLassoError, SizeCapError

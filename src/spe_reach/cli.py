@@ -95,18 +95,23 @@ def _print_labeling(decision: Decision) -> None:
 
 
 def _print_oracle_line(g: FiniteGame, c: ConstraintProfile, decision: Decision) -> None:
-    from .oracle import ORACLE_MAX_EXT_VERTICES, oracle_decide
+    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_decide
 
     if decision.extended_game.n_vertices > ORACLE_MAX_EXT_VERTICES:
         print("oracle: skipped (extended game too large)")
         return
-    agreed = oracle_decide(g, c) == decision.answer
+    try:
+        agreed = oracle_decide(g, c) == decision.answer
+    except OracleLimitError as exc:
+        print(f"oracle: skipped ({exc})")
+        return
     print(f"oracle: {'AGREE' if agreed else 'DISAGREE'}")
 
 
 def _solve_game(g: FiniteGame, args: argparse.Namespace) -> int:
     c = _parse_constraint(args.player, g.n_players)
     decision = decide_constrained_existence(g, c, max_ext_vertices=_max_ext_vertices())
+    args.status = 0 if decision.answer else 1
     print("YES" if decision.answer else "NO")
     if args.witness and decision.answer:
         _print_witness(decision)
@@ -114,7 +119,7 @@ def _solve_game(g: FiniteGame, args: argparse.Namespace) -> int:
         _print_labeling(decision)
     if args.oracle:
         _print_oracle_line(g, c, decision)
-    return 0 if decision.answer else 1
+    return args.status
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -147,7 +152,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    from .oracle import ORACLE_MAX_EXT_VERTICES, oracle_decide
+    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_decide
 
     g = load_finite_game(args.game)
     c = _parse_constraint(args.player, g.n_players)
@@ -157,12 +162,16 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             f"extended game has {decision.extended_game.n_vertices} vertices; "
             f"the oracle only handles up to {ORACLE_MAX_EXT_VERTICES}"
         )
-    oracle_answer = oracle_decide(g, c)
+    try:
+        oracle_answer = oracle_decide(g, c)
+    except OracleLimitError as exc:
+        raise InputError(f"the oracle gives up: {exc}") from exc
+    agreed = oracle_answer == decision.answer
+    args.status = 0 if agreed else 1
     print(f"solver: {'YES' if decision.answer else 'NO'}")
     print(f"oracle: {'YES' if oracle_answer else 'NO'}")
-    agreed = oracle_answer == decision.answer
     print("AGREE" if agreed else "DISAGREE")
-    return 0 if agreed else 1
+    return args.status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,6 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constrained existence of subgame perfect equilibria in "
         "turn-based reachability games.",
     )
+    # the exit status a command has decided on; each command sets it before
+    # printing, so main() still returns it if stdout closes mid-print
+    parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="decide an explicit finite game")
@@ -216,7 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send what is still buffered to
+        # /dev/null so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return args.status
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

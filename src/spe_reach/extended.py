@@ -78,23 +78,22 @@ class ExtendedGame:
     def game(self) -> FiniteGame:
         """The extended game as a named, lettered FiniteGame, built on first access.
 
-        Edges follow the base ``out_edges`` of each vertex in vertex order,
-        which is the order the BFS discovered them in.
+        The ``out_edges`` row of extended vertex (v, sat) follows the base
+        row of v, which is the order the BFS discovered its successors in.
         """
         g = self.base
         tm = g.target_mask
         index = self.index
-        edges = tuple(
-            (x, letter, index[(dst, sat | tm[dst])])
-            for x, (v, sat) in enumerate(self.origin)
-            for letter, dst in g.out_edges[v]
+        out_edges = tuple(
+            tuple((letter, index[(dst, sat | tm[dst])]) for letter, dst in g.out_edges[v])
+            for v, sat in self.origin
         )
         sat = self.satisfied
         return FiniteGame(
             n_players=g.n_players,
             alphabet=g.alphabet,
             vertex_names=tuple(self.vertex_name(x) for x in range(self.n_vertices)),
-            edges=edges,
+            out_edges=out_edges,
             owner=self.owner,
             targets=tuple(
                 frozenset(x for x, m in enumerate(sat) if (m >> i) & 1)

@@ -106,12 +106,17 @@ class FiniteGame:
     edge whenever a play is there. ``targets[i]`` is the vertex set player i
     wants to visit. A well-formed game is non-blocking: every vertex has at
     least one outgoing edge (see :func:`validate_game`).
+
+    ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
+    leaving v, in declaration order, each pair once. Every builder fills
+    these rows directly; ``edges``, ``successors``, ``predecessors`` and
+    ``target_mask`` are views derived from them on first access.
     """
 
     n_players: int
     alphabet: tuple[str, ...]
     vertex_names: tuple[str, ...]
-    edges: tuple[tuple[int, str, int], ...]
+    out_edges: tuple[tuple[tuple[str, int], ...], ...]
     owner: tuple[int, ...]
     targets: tuple[frozenset[int], ...]
     initial: int
@@ -121,36 +126,24 @@ class FiniteGame:
         return len(self.vertex_names)
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, str, int], ...]:
+        """All (source, letter, target) triples, grouped by source in vertex order."""
+        return tuple(
+            (src, letter, dst) for src, row in enumerate(self.out_edges) for letter, dst in row
+        )
+
+    @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex successors with letters collapsed, ascending order."""
-        out: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for src, _, dst in self.edges:
-            out[src].add(dst)
-        return tuple(tuple(sorted(s)) for s in out)
+        return tuple(tuple(sorted({dst for _, dst in row})) for row in self.out_edges)
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         inc: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for src, _, dst in self.edges:
-            inc[dst].add(src)
+        for src, row in enumerate(self.out_edges):
+            for _, dst in row:
+                inc[dst].add(src)
         return tuple(tuple(sorted(s)) for s in inc)
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        """Per-vertex (letter, target) pairs in declaration order, deduplicated."""
-        out: list[list[tuple[str, int]]] = [[] for _ in range(self.n_vertices)]
-        seen: set[tuple[int, str, int]] = set()
-        for edge in self.edges:
-            if edge in seen:
-                continue
-            seen.add(edge)
-            src, letter, dst = edge
-            out[src].append((letter, dst))
-        return tuple(tuple(pairs) for pairs in out)
-
-    @cached_property
-    def successor_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((src, dst) for src, _, dst in self.edges)
 
     @cached_property
     def target_mask(self) -> tuple[int, ...]:
@@ -193,14 +186,11 @@ class FiniteGame:
                 raise InputError(f"{where}: unknown vertex '{name}'")
             return index[name]
 
-        edge_list: list[tuple[int, str, int]] = []
-        seen: set[tuple[int, str, int]] = set()
+        # a dict per row keeps the first declaration of each (letter, target)
+        rows: list[dict[tuple[str, int], None]] = [{} for _ in names]
         letters: list[str] = []
         for k, (src, letter, dst) in enumerate(edges):
-            triple = (resolve(src, f"edge {k}"), letter, resolve(dst, f"edge {k}"))
-            if triple not in seen:
-                seen.add(triple)
-                edge_list.append(triple)
+            rows[resolve(src, f"edge {k}")][(letter, resolve(dst, f"edge {k}"))] = None
             letters.append(letter)
         if alphabet is None:
             sigma = tuple(sorted(set(letters)))
@@ -225,7 +215,7 @@ class FiniteGame:
             n_players=n,
             alphabet=sigma,
             vertex_names=names,
-            edges=tuple(edge_list),
+            out_edges=tuple(map(tuple, rows)),
             owner=tuple(owners),
             targets=target_sets,
             initial=resolve(initial, "initial"),
@@ -235,8 +225,8 @@ class FiniteGame:
 def validate_game(g: FiniteGame) -> list[str]:
     """Report structural violations; an empty report means g is well formed.
 
-    Checks totality and ranges of the owner map, targets, and edges, and the
-    non-blocking condition (every vertex has an outgoing edge).
+    Checks totality and ranges of the owner map, targets, and edge rows, and
+    the non-blocking condition (every vertex has an outgoing edge).
     """
     problems: list[str] = []
     n, nv = g.n_players, g.n_vertices
@@ -258,17 +248,18 @@ def validate_game(g: FiniteGame) -> list[str]:
                 problems.append(f"targets[{i}] contains unknown vertex id {v}")
     if not 0 <= g.initial < nv:
         problems.append(f"initial vertex id {g.initial} out of range")
-    has_edge = [False] * nv
-    for k, (src, letter, dst) in enumerate(g.edges):
-        if not 0 <= src < nv or not 0 <= dst < nv:
-            problems.append(f"edge {k} references an unknown vertex id")
-            continue
-        if letter not in g.alphabet:
-            problems.append(f"edge {k}: letter '{letter}' not in the alphabet")
-        has_edge[src] = True
-    for v, ok in enumerate(has_edge):
-        if not ok:
-            problems.append(f"vertex '{g.vertex_names[v]}' has no outgoing edge (blocking)")
+    rows = g.out_edges
+    if len(rows) != nv:
+        problems.append(f"edge rows cover {len(rows)} of {nv} vertices")
+    for src, row in enumerate(rows):
+        for letter, dst in row:
+            if not 0 <= dst < nv:
+                problems.append(f"edge row {src} references unknown vertex id {dst}")
+            elif letter not in g.alphabet:
+                problems.append(f"edge row {src}: letter '{letter}' not in the alphabet")
+    for v, name in enumerate(g.vertex_names):
+        if v >= len(rows) or not rows[v]:
+            problems.append(f"vertex '{name}' has no outgoing edge (blocking)")
     return problems
 
 
@@ -309,11 +300,11 @@ def lasso_violations(g: FiniteGame, rho: LassoPlay) -> list[str]:
     for v in rho.prefix + rho.cycle:
         if not 0 <= v < nv:
             return [f"lasso references unknown vertex id {v}"]
-    pairs = g.successor_pairs
+    succ = g.successors
     return [
         f"no edge from '{g.vertex_names[a]}' to '{g.vertex_names[b]}'"
         for a, b in rho.steps()
-        if (a, b) not in pairs
+        if b not in succ[a]
     ]
 
 

@@ -5,7 +5,9 @@ recurrence is evaluated by scanning plays instead of pruning graphs, and the
 final decision scans plays from the initial vertex. The only machinery shared
 with the solver is the data model and the extended-game construction; none of
 the solver's pruning or reachability code is used. Sizes are guarded, since
-enumeration is exponential.
+enumeration is exponential: the extended game may have at most
+``ORACLE_MAX_EXT_VERTICES`` vertices, and the lassos enumerated for one
+game count against ``ORACLE_MAX_LASSOS``.
 
 On extended games, restricting the scans to lassos whose prefix never repeats
 a vertex loses nothing: satisfied sets only grow along a play, so cutting the
@@ -24,6 +26,13 @@ from .extended import ExtendedGame, build_extended_game
 from .game import ConstraintProfile, FiniteGame, LassoPlay
 
 ORACLE_MAX_EXT_VERTICES = 64
+# a dense game under the vertex bound can still have billions of lassos; the
+# acceptance corpus needs at most about 242k for one game
+ORACLE_MAX_LASSOS = 500_000
+
+
+class OracleLimitError(ValueError):
+    """The instance is beyond what the oracle is willing to enumerate."""
 
 
 def enumerate_lassos(
@@ -93,7 +102,7 @@ def enumerate_lassos(
 def _guard(xg: ExtendedGame) -> None:
     n = xg.n_vertices
     if n > ORACLE_MAX_EXT_VERTICES:
-        raise ValueError(
+        raise OracleLimitError(
             f"extended game has {n} vertices; the oracle refuses instances "
             f"above {ORACLE_MAX_EXT_VERTICES}"
         )
@@ -107,16 +116,22 @@ def _lasso_summaries(xg: ExtendedGame) -> tuple[frozenset[tuple[int, int]], ...]
     the positions whose owner does not win on the suffix from there; a lasso
     is consistent with a labeling iff no binding vertex is labeled 1. This
     is a pure factoring of the per-lasso consistency check, so each vertex
-    is enumerated once instead of once per labeling iteration.
+    is enumerated once instead of once per labeling iteration. Raises
+    :class:`OracleLimitError` once more than ``ORACLE_MAX_LASSOS`` lassos
+    have been enumerated.
     """
     g = xg.game
     n = g.n_vertices
     tm = g.target_mask
     owner = g.owner
     out = []
+    count = 0
     for start in range(n):
         summaries: set[tuple[int, int]] = set()
         for rho in enumerate_lassos(g, start, n, n, simple_prefix=True):
+            count += 1
+            if count > ORACLE_MAX_LASSOS:
+                raise OracleLimitError(f"more than {ORACLE_MAX_LASSOS} lassos to enumerate")
             suffix_gain = 0
             for v in rho.cycle:
                 suffix_gain |= tm[v]

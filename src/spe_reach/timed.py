@@ -300,13 +300,14 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
 
     Each region gets an int id the first time it is reached;
     ``max_vertices`` caps the number of ids as well as the number of
-    vertices, so a long time-successor chain is cut off before it is built. The immediate time successor and the
-    reset images are memoized per id. The moves of a pair, as (letter,
-    (target, image id)) entries, are memoized per (location, id): the moves
-    enabled at the region itself, then those of (location, immediate
-    successor) not already listed. That is the first-occurrence order of a
-    walk over the whole time-successor chain, so vertices and edges come
-    out in that order, each edge once.
+    vertices, so a long time-successor chain is cut off before it is built.
+    The immediate time successor and the reset images are memoized per id.
+    The moves of a pair, as (letter, (target, image id)) entries, are
+    memoized per (location, id): the moves enabled at the region itself,
+    then those of (location, immediate successor) not already listed. That
+    is the first-occurrence order of a walk over the whole time-successor
+    chain, so vertices come out in that order, and each vertex's
+    ``out_edges`` row is its moves in that order, each once.
     """
     problems = validate_ppta(a)
     if problems:
@@ -373,15 +374,15 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
     start = (a.initial, intern(ClockRegion.zero(a.maxima)))
     order: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
-    edges: list[tuple[int, str, int]] = []
-    xi = 0
-    while xi < len(pairs):
-        loc, rid = pairs[xi]
+    rows: list[tuple[tuple[str, int], ...]] = []
+    # pairs grows while it is walked: visiting ids in order is the BFS
+    for loc, rid in pairs:
         out = moves_from(loc, rid)
         if not out:
             raise DeadlockedRegionError(
                 a.location_names[loc], describe_region(regions[rid], a.clock_names)
             )
+        row = []
         for letter, succ in out:
             xj = order.get(succ)
             if xj is None:
@@ -392,8 +393,8 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
                     )
                 order[succ] = xj
                 pairs.append(succ)
-            edges.append((xi, letter, xj))
-        xi += 1
+            row.append((letter, xj))
+        rows.append(tuple(row))
     if a.n_clocks:
         text = {rid: describe_region(regions[rid], a.clock_names) for rid in {r for _, r in pairs}}
         names = tuple(f"{a.location_names[loc]}|{text[rid]}" for loc, rid in pairs)
@@ -408,7 +409,7 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
         n_players=a.n_players,
         alphabet=a.alphabet,
         vertex_names=names,
-        edges=tuple(edges),
+        out_edges=tuple(rows),
         owner=owners,
         targets=targets,
         initial=0,

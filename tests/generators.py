@@ -8,8 +8,9 @@ from typing import Iterable, Iterator, Sequence
 
 from spe_reach.extended import build_extended_game
 from spe_reach.game import ConstraintProfile, FiniteGame
-from spe_reach.quotient import EquivalenceMap
 from spe_reach.timed import COMPARATORS, GuardAtom, PPTA, Transition
+
+from quotient import EquivalenceMap
 
 
 def game_from_successors(
@@ -24,7 +25,7 @@ def game_from_successors(
         n_players=n_players,
         alphabet=("a",),
         vertex_names=tuple(f"v{i}" for i in range(n)),
-        edges=tuple((i, "a", j) for i in range(n) for j in sorted(succ_sets[i])),
+        out_edges=tuple(tuple(("a", j) for j in sorted(succ)) for succ in succ_sets),
         owner=tuple(owners),
         targets=tuple(frozenset(ts) for ts in target_sets),
         initial=initial,
@@ -184,10 +185,10 @@ def clone_game(g: FiniteGame) -> tuple[FiniteGame, EquivalenceMap]:
     """
     n = g.n_vertices
     names = tuple(f"{name}#{b}" for b in (0, 1) for name in g.vertex_names)
-    edges = tuple(
-        (src + b * n, letter, dst + b * n)
+    out_edges = tuple(
+        tuple((letter, dst + b * n) for letter, dst in row)
         for b in (0, 1)
-        for src, letter, dst in g.edges
+        for row in g.out_edges
     )
     owners = g.owner + g.owner
     targets = tuple(frozenset(v + b * n for b in (0, 1) for v in ts) for ts in g.targets)
@@ -195,7 +196,7 @@ def clone_game(g: FiniteGame) -> tuple[FiniteGame, EquivalenceMap]:
         n_players=g.n_players,
         alphabet=g.alphabet,
         vertex_names=names,
-        edges=edges,
+        out_edges=out_edges,
         owner=owners,
         targets=targets,
         initial=g.initial,

@@ -1,12 +1,16 @@
-"""Quotients of finite games by a supplied equivalence relation.
+"""Test helper: quotients of finite games by a supplied equivalence relation.
 
 The quotient collapses each equivalence class to a single vertex. For the
 quotient to preserve equilibrium outcomes the relation must respect the
 player partition and the target sets and be a bisimulation on the transition
 system; the checkers here verify exactly those side conditions, and
 :func:`quotient_game` refuses to build anything from a relation that fails
-one. Computing a coarsest bisimulation is out of scope: the relation is
-always supplied, by the caller or by the region construction.
+one. Computing a coarsest bisimulation (Paige and Tarjan, "Three partition
+refinement algorithms", SIAM J. Comput. 16(6), 1987) is out of scope: the
+relation is always supplied, by the caller or by the region construction.
+The solver never quotients a game; the tests use this module to check that
+decisions survive cloning and quotienting, and that regions are
+bisimilar.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError
-from .game import FiniteGame
+from spe_reach.errors import InputError
+from spe_reach.game import FiniteGame
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,11 @@ def quotient_game(
     members = eq.members
     names = tuple(f"[{g.vertex_names[group[0]]}]" for group in members)
     owners = tuple(g.owner[group[0]] for group in members)
-    edges: list[tuple[int, str, int]] = []
-    seen: set[tuple[int, str, int]] = set()
-    for src, letter, dst in g.edges:
-        triple = (eq.class_of[src], letter, eq.class_of[dst])
-        if triple not in seen:
-            seen.add(triple)
-            edges.append(triple)
+    # a dict per class row keeps the first occurrence of each (letter, class)
+    rows: list[dict[tuple[str, int], None]] = [{} for _ in members]
+    for src, row in enumerate(g.out_edges):
+        for letter, dst in row:
+            rows[eq.class_of[src]][(letter, eq.class_of[dst])] = None
     targets = tuple(
         frozenset(eq.class_of[v] for v in ts) for ts in g.targets
     )
@@ -126,7 +128,7 @@ def quotient_game(
         n_players=g.n_players,
         alphabet=g.alphabet,
         vertex_names=names,
-        edges=tuple(edges),
+        out_edges=tuple(map(tuple, rows)),
         owner=owners,
         targets=targets,
         initial=eq.class_of[g.initial],

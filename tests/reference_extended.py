@@ -4,7 +4,9 @@ This is the direct construction that ``spe_reach.extended`` replaced: a
 BFS over the lettered base edges that materializes the whole extended
 ``FiniteGame`` (names, edges, owners, target sets) and leaves successors
 and predecessors to that game's own views. It shares no code with the
-solver's builder, so tests can compare the two.
+solver's builder, so tests can compare the two. It also returns its edge
+triples in the order it emitted them, which is grouped by source because
+the BFS visits sources in id order.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ def _set_name(mask: int) -> str:
 
 def reference_build_extended_game(
     g: FiniteGame, max_vertices: int | None = None
-) -> tuple[FiniteGame, tuple[tuple[int, int], ...]]:
-    """The reachable extended game of g and, per vertex, its (base vertex, satisfied mask)."""
+) -> tuple[FiniteGame, tuple[tuple[int, int], ...], tuple[tuple[int, str, int], ...]]:
+    """The reachable extended game of g, per vertex its (base vertex, satisfied
+    mask), and its edge triples in emission order."""
     problems = validate_game(g)
     if problems:
         raise InputError("cannot extend ill-formed game: " + problems[0])
@@ -49,6 +52,9 @@ def reference_build_extended_game(
                 pairs.append(succ)
                 queue.append(succ)
             edges.append((xi, letter, xj))
+    rows: list[list[tuple[str, int]]] = [[] for _ in pairs]
+    for src, letter, dst in edges:
+        rows[src].append((letter, dst))
     names = tuple(f"{g.vertex_names[v]}|{_set_name(sat)}" for v, sat in pairs)
     owners = tuple(g.owner[v] for v, _ in pairs)
     target_sets = tuple(
@@ -59,9 +65,9 @@ def reference_build_extended_game(
         n_players=g.n_players,
         alphabet=g.alphabet,
         vertex_names=names,
-        edges=tuple(edges),
+        out_edges=tuple(map(tuple, rows)),
         owner=owners,
         targets=target_sets,
         initial=0,
     )
-    return ext, tuple(pairs)
+    return ext, tuple(pairs), tuple(edges)

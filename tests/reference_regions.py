@@ -3,7 +3,9 @@
 ``reference_build_region_game`` walks the whole time-successor chain of
 every reachable (location, region) pair and tries every transition at every
 delay, deduplicating edges in a set. It is slow but direct; the interned
-builder in ``spe_reach.timed`` must return a ``RegionGame`` equal to it.
+builder in ``spe_reach.timed`` must return a ``RegionGame`` equal to it,
+and a game whose flat ``edges`` are the triples it emitted, grouped by
+source because the BFS visits sources in id order.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from spe_reach.timed import (
 from clock_samples import time_successors
 
 
-def reference_build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
-    """Construct the reachable region game of a.
+def reference_build_region_game(
+    a: PPTA, max_vertices: int | None = None
+) -> tuple[RegionGame, tuple[tuple[int, str, int], ...]]:
+    """Construct the reachable region game of a; returns it and its edge triples.
 
     From a pair (location, region), one edge exists per transition of the
     location and per time successor of the region satisfying the guard; the
@@ -75,6 +79,9 @@ def reference_build_region_game(a: PPTA, max_vertices: int | None = None) -> Reg
             raise DeadlockedRegionError(
                 a.location_names[loc], describe_region(reg, a.clock_names)
             )
+    rows: list[list[tuple[str, int]]] = [[] for _ in pairs]
+    for src, letter, dst in edges:
+        rows[src].append((letter, dst))
     names = tuple(
         f"{a.location_names[loc]}|{describe_region(reg, a.clock_names)}"
         if a.n_clocks
@@ -90,9 +97,9 @@ def reference_build_region_game(a: PPTA, max_vertices: int | None = None) -> Reg
         n_players=a.n_players,
         alphabet=a.alphabet,
         vertex_names=names,
-        edges=tuple(edges),
+        out_edges=tuple(map(tuple, rows)),
         owner=owners,
         targets=targets,
         initial=0,
     )
-    return RegionGame(game=game, origin=tuple(pairs))
+    return RegionGame(game=game, origin=tuple(pairs)), tuple(edges)

@@ -22,7 +22,6 @@ from spe_reach.fixpoint import (
 )
 from spe_reach.game import ConstraintProfile, FiniteGame, gain_of_lasso
 from spe_reach.oracle import oracle_decide
-from spe_reach.quotient import quotient_game
 from spe_reach.timed import PPTA, build_region_game, guard_sat_region, reset_region
 
 from clock_samples import (
@@ -43,6 +42,7 @@ from generators import (
     exhaustive_grid,
     random_games,
 )
+from quotient import quotient_game
 from reference_extended import reference_build_extended_game
 from reference_fixpoint import reference_lambda_step
 from test_timed import (
@@ -97,10 +97,10 @@ def sweep() -> SweepResult:
         result.games += 1
         label = f"game#{result.games}"
         xg = build_extended_game(g)
-        ref, origin = reference_build_extended_game(g)
+        ref, origin, triples = reference_build_extended_game(g)
         if (xg.origin, xg.successors, xg.predecessors) != (origin, ref.successors, ref.predecessors):
             result.builder_failures.append(f"{label}: adjacency differs from the reference")
-        elif xg.game != ref:
+        elif xg.game != ref or xg.game.edges != triples:
             result.builder_failures.append(f"{label}: game view differs from the reference")
         n_ext = xg.n_vertices
         lam_star, k_star = compute_lambda_star(xg)

@@ -106,6 +106,33 @@ def one_clock_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def complete_file(tmp_path):
+    # one player, no targets, every edge of the complete graph on 14 vertices:
+    # 14 extended vertices, but far too many lassos to enumerate
+    names = [f"v{i}" for i in range(14)]
+    game = {
+        "players": 1,
+        "alphabet": ["a"],
+        "vertices": [{"name": v, "owner": 0} for v in names],
+        "edges": [{"from": v, "letter": "a", "to": w} for v in names for w in names],
+        "targets": [[]],
+        "initial": "v0",
+    }
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(game), encoding="utf-8")
+    return str(path)
+
+
+def run_cli(args, timeout):
+    """Run ``python -m spe_reach ARGS`` in a subprocess, which turns a hang into a failure."""
+    src = Path(spe_reach.__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "spe_reach", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=timeout,
+    )
+
+
 class TestJsonIO:
     def test_game_round_trip(self):
         g = load_finite_game(FORK_GAME)
@@ -218,18 +245,18 @@ class TestSolveCommand:
             assert run.stdout.splitlines()[0] == first
 
     def test_import_leaves_out_test_helpers(self):
-        # the concrete-valuation helpers live in the tests, and the oracle and
-        # quotient modules are loaded only on demand; importing the CLI must
-        # pull in none of them, which would add to every solve
+        # the concrete-valuation helpers live in the tests, and the oracle
+        # module is loaded only on demand; importing the CLI must pull in
+        # none of them, which would add to every solve
         src = Path(spe_reach.__file__).parent.parent
-        modules = ("fractions", "spe_reach.oracle", "spe_reach.quotient")
+        modules = ("fractions", "spe_reach.oracle")
         code = f"import spe_reach.cli, sys; print([m in sys.modules for m in {modules!r}])"
         run = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[False, False, False]"
+        assert run.stdout.strip() == "[False, False]"
 
     def test_leaves_the_game_view_unbuilt(self, fork_file, monkeypatch, capsys):
         decisions = []
@@ -243,6 +270,30 @@ class TestSolveCommand:
         assert main(["solve", fork_file, "--witness", "--lambda"]) == 0
         assert "  A|{}  1\n  B|{0}  1\n  C|{}  0\n" in capsys.readouterr().out
         assert "game" not in decisions[0].extended_game.__dict__
+
+    @pytest.mark.parametrize("command", ["solve", "solve-timed"])
+    def test_leaves_the_edge_triples_unbuilt(self, command, fork_file, one_clock_file, monkeypatch, capsys):
+        # the solve path reads the per-vertex edge rows only; the flat
+        # edges view is for dumps and tools
+        decisions = []
+        original = cli.decide_constrained_existence
+
+        def decide(*args, **kwargs):
+            decisions.append(original(*args, **kwargs))
+            return decisions[-1]
+
+        monkeypatch.setattr(cli, "decide_constrained_existence", decide)
+        source = fork_file if command == "solve" else one_clock_file
+        assert main([command, source, "--witness", "--lambda"]) == 0
+        assert "edges" not in decisions[0].extended_game.base.__dict__
+
+    def test_oracle_skips_a_game_with_too_many_lassos(self, complete_file):
+        run = run_cli(["solve", complete_file, "--oracle"], timeout=10)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "YES",
+            "oracle: skipped (more than 500000 lassos to enumerate)",
+        ]
 
     def test_many_players_answer_fast(self, tmp_path):
         # one vertex that is a target of every player: the profile scan must
@@ -387,6 +438,12 @@ class TestRegionsCommand:
 
 
 class TestOracleCheckCommand:
+    def test_too_many_lassos_exit_2(self, complete_file):
+        run = run_cli(["oracle-check", complete_file], timeout=10)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert "more than 500000 lassos" in run.stderr
+
     def test_agreement(self, fork_file, capsys):
         assert main(["oracle-check", fork_file, "--player", "0=win"]) == 0
         out = capsys.readouterr().out
@@ -398,3 +455,48 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", fork_file, "--player", "0=lose"]) == 0
         out = capsys.readouterr().out
         assert "solver: NO" in out
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head -1``) must not turn the answer into a traceback."""
+
+    @pytest.mark.parametrize("command", ["solve", "regions"])
+    def test_exit_status_survives_a_closed_pipe(self, command, tmp_path):
+        if command == "solve":
+            # a YES ring whose --lambda output overflows the pipe buffer
+            names = [f"v{i}" for i in range(10_000)]
+            spec = {
+                "players": 1,
+                "alphabet": ["a"],
+                "vertices": [{"name": v, "owner": 0} for v in names],
+                "edges": [
+                    {"from": v, "letter": "a", "to": names[(i + 1) % len(names)]}
+                    for i, v in enumerate(names)
+                ],
+                "targets": [[names[5_000]]],
+                "initial": "v0",
+            }
+            args = ["--lambda"]
+        else:
+            # waiting up to c = 100 reaches 201 clock regions: about 1.8 MB of JSON
+            spec = dict(ONE_CLOCK_PPTA)
+            spec["transitions"] = [
+                {"from": "l0", "letter": "a", "guard": [], "reset": [], "to": "l0"},
+                {"from": "l0", "letter": "b", "guard": [{"clock": "c", "op": "ge", "const": 100}], "reset": [], "to": "l1"},
+                {"from": "l1", "letter": "a", "guard": [], "reset": [], "to": "l1"},
+            ]
+            args = []
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        src = Path(spe_reach.__file__).parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spe_reach", command, str(path), *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert first == (b"YES\n" if command == "solve" else b"{\n")

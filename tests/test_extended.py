@@ -68,7 +68,7 @@ def test_ill_formed_game_rejected(chain_game):
         n_players=1,
         alphabet=chain_game.alphabet,
         vertex_names=chain_game.vertex_names,
-        edges=((0, "a", 1),),  # B has no successor
+        out_edges=((("a", 1),), ()),  # B has no successor
         owner=chain_game.owner,
         targets=chain_game.targets,
         initial=0,
@@ -79,7 +79,7 @@ def test_ill_formed_game_rejected(chain_game):
 
 def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> None:
     try:
-        ref, origin = reference_build_extended_game(g, max_vertices)
+        ref, origin, triples = reference_build_extended_game(g, max_vertices)
     except SizeCapError:
         with pytest.raises(SizeCapError):
             build_extended_game(g, max_vertices)
@@ -91,6 +91,7 @@ def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> 
     assert xg.predecessors == ref.predecessors
     assert "game" not in xg.__dict__
     assert xg.game == ref
+    assert xg.game.edges == triples
     assert [xg.vertex_name(x) for x in range(xg.n_vertices)] == list(ref.vertex_names)
 
 
@@ -99,24 +100,22 @@ def lettered_game(rng: random.Random) -> FiniteGame:
     letters and some twice, so discovery order is not ascending order."""
     n = rng.randint(1, 9)
     players = rng.randint(1, 4)
+    names = [f"v{i}" for i in range(n)]
     edges = [
-        (v, letter, w)
+        (names[v], letter, names[w])
         for v in range(n)
         for w in rng.sample(range(n), rng.randint(1, min(3, n)))
         for letter in rng.sample("ab", rng.randint(1, 2))
     ]
     rng.shuffle(edges)
     edges += rng.sample(edges, min(2, len(edges)))
-    return FiniteGame(
-        n_players=players,
+    return FiniteGame.build(
+        vertices=names,
+        edges=edges,
+        owner={name: rng.randrange(players) for name in names},
+        targets=[[name for name in names if rng.random() < 0.3] for _ in range(players)],
+        initial=names[rng.randrange(n)],
         alphabet=("a", "b"),
-        vertex_names=tuple(f"v{i}" for i in range(n)),
-        edges=tuple(edges),
-        owner=tuple(rng.randrange(players) for _ in range(n)),
-        targets=tuple(
-            frozenset(v for v in range(n) if rng.random() < 0.3) for _ in range(players)
-        ),
-        initial=rng.randrange(n),
     )
 
 

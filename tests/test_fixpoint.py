@@ -267,7 +267,7 @@ class TestDecide:
             n_players=1,
             alphabet=chain_game.alphabet,
             vertex_names=chain_game.vertex_names,
-            edges=((0, "a", 1),),
+            out_edges=((("a", 1),), ()),
             owner=chain_game.owner,
             targets=chain_game.targets,
             initial=0,
@@ -299,7 +299,7 @@ class TestDecide:
             n_players=1,
             alphabet=chain_game.alphabet,
             vertex_names=chain_game.vertex_names,
-            edges=((0, "z", 1),),
+            out_edges=((("z", 1),), ()),
             owner=chain_game.owner,
             targets=chain_game.targets,
             initial=0,

@@ -96,7 +96,7 @@ class TestValidateGame:
             n_players=1,
             alphabet=("a",),
             vertex_names=("A", "B", "C"),
-            edges=((0, "a", 1), (1, "a", 0)),
+            out_edges=((("a", 1),), (("a", 0),), ()),
             owner=(0, 0, 0),
             targets=(frozenset(),),
             initial=0,
@@ -104,12 +104,26 @@ class TestValidateGame:
         report = validate_game(g)
         assert any("'C'" in line and "blocking" in line for line in report)
 
+    def test_row_count_differs_from_vertex_count(self, chain_game):
+        g = FiniteGame(
+            n_players=1,
+            alphabet=chain_game.alphabet,
+            vertex_names=chain_game.vertex_names,
+            out_edges=chain_game.out_edges[:1],
+            owner=chain_game.owner,
+            targets=chain_game.targets,
+            initial=0,
+        )
+        report = validate_game(g)
+        assert "edge rows cover 1 of 2 vertices" in report
+        assert "vertex 'B' has no outgoing edge (blocking)" in report
+
     def test_dangling_target_named(self, chain_game):
         g = FiniteGame(
             n_players=1,
             alphabet=chain_game.alphabet,
             vertex_names=chain_game.vertex_names,
-            edges=chain_game.edges,
+            out_edges=chain_game.out_edges,
             owner=chain_game.owner,
             targets=(frozenset({7}),),
             initial=0,
@@ -122,7 +136,7 @@ class TestValidateGame:
             n_players=1,
             alphabet=chain_game.alphabet,
             vertex_names=chain_game.vertex_names,
-            edges=chain_game.edges,
+            out_edges=chain_game.out_edges,
             owner=(0, 3),
             targets=chain_game.targets,
             initial=0,

@@ -95,7 +95,7 @@ class TestOracleLambdaStar:
             n_players=3,
             alphabet=("a",),
             vertex_names=tuple(f"v{i}" for i in range(n)),
-            edges=tuple((i, "a", j) for i in range(n) for j in range(n)),
+            out_edges=tuple(tuple(("a", j) for j in range(n)) for _ in range(n)),
             owner=(0,) * n,
             targets=(frozenset({1}), frozenset({2}), frozenset({3})),
             initial=0,

@@ -3,15 +3,15 @@ import pytest
 from spe_reach.errors import InputError
 from spe_reach.fixpoint import decide_constrained_existence
 from spe_reach.game import FiniteGame, validate_game
-from spe_reach.quotient import (
+
+from generators import all_constraints, clone_game, random_games
+from quotient import (
     EquivalenceMap,
     check_bisimulation,
     check_respects_partition,
     check_respects_targets,
     quotient_game,
 )
-
-from generators import all_constraints, clone_game, random_games
 
 
 class TestEquivalenceMap:
