@@ -6,15 +6,23 @@ quotient first. All three graphs (the input arena, the region game and the
 extended game's ``game`` view) are ``FiniteGame`` values that store one
 per-vertex row of (letter, target) edges. A bounded brute-force oracle
 (``spe_reach.oracle``) cross-checks the solver on small instances; it is
-left out of this namespace so that importing the solver stays cheap.
+left out of this namespace so that importing the solver stays cheap. For
+the same reason the timed-automaton names are served from
+``spe_reach.timed`` only when first looked up.
+
+``analyze(g)`` builds a game's extended game and labeling fixpoint once;
+its ``decide(c)`` answers one constraint, and ``decide_constrained_existence``
+is the one-call form of both.
 """
 
 from .errors import DeadlockedRegionError, InputError, InvalidLassoError, SizeCapError
 from .extended import ExtendedGame, build_extended_game, lift_lasso
 from .fixpoint import (
+    Analysis,
     Decision,
     Labeling,
     Witness,
+    analyze,
     compute_lambda_star,
     decide_constrained_existence,
     exists_consistent_play,
@@ -32,20 +40,23 @@ from .game import (
     validate_game,
 )
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
-from .timed import (
-    ClockRegion,
-    GuardAtom,
-    PPTA,
-    RegionGame,
-    Transition,
-    build_region_game,
-    describe_region,
-    guard_sat_region,
-    reset_region,
-    validate_ppta,
-)
+
+_TIMED_NAMES = frozenset((
+    "ClockRegion", "GuardAtom", "PPTA", "RegionGame", "Transition", "build_region_game",
+    "describe_region", "guard_sat_region", "reset_region", "validate_ppta",
+))
+
+
+def __getattr__(name: str):
+    if name in _TIMED_NAMES:
+        from . import timed
+
+        return getattr(timed, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
+    "Analysis",
     "ClockRegion",
     "ConstraintProfile",
     "DeadlockedRegionError",
@@ -63,6 +74,7 @@ __all__ = [
     "SizeCapError",
     "Transition",
     "Witness",
+    "analyze",
     "build_extended_game",
     "build_region_game",
     "compute_lambda_star",

@@ -14,16 +14,26 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError, SizeCapError
 from .fixpoint import Decision, decide_constrained_existence
 from .game import ConstraintProfile, FiniteGame
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
-from .timed import build_region_game
+
+if TYPE_CHECKING:
+    from .timed import PPTA, RegionGame
 
 DEFAULT_MAX_EXT_VERTICES = 1 << 22
 ENV_MAX_EXT_VERTICES = "SPE_REACH_MAX_EXT_VERTICES"
+
+
+def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
+    """:func:`spe_reach.timed.build_region_game`, imported on first use so
+    that ``solve`` never loads the timed module."""
+    from . import timed
+
+    return timed.build_region_game(a, max_vertices=max_vertices)
 
 
 def _max_ext_vertices() -> int:

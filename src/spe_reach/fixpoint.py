@@ -10,6 +10,11 @@ to its down-set, and folds all gain profiles into one per-vertex bitmask.
 At the fixpoint a play is an equilibrium outcome iff it is consistent with
 the labels, so constrained existence reduces to searching for one consistent
 lasso per admissible gain profile.
+
+The extended game and the fixpoint depend on the game alone, so
+:func:`analyze` computes them once per game (and size cap) and keeps the
+result as an :class:`Analysis`; :meth:`Analysis.decide` then runs only the
+per-constraint profile scan.
 """
 
 from __future__ import annotations
@@ -196,7 +201,6 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     return tuple(int(any(not canlose[w] >> i & 1 for w in ws)) for ws, i in zip(succ, owner))
 
 
-@lru_cache(maxsize=256)
 def compute_lambda_star(xg: ExtendedGame) -> tuple[Labeling, int]:
     """Iterate lambda_step from all zeros until two consecutive labelings agree.
 
@@ -239,34 +243,63 @@ class Decision:
     extended_game: ExtendedGame
 
 
-def decide_constrained_existence(
-    g: FiniteGame, c: ConstraintProfile, *, max_ext_vertices: int | None = None
-) -> Decision:
-    """Decide whether an equilibrium with gain between the bounds exists.
+@dataclass(frozen=True)
+class Analysis:
+    """What a game's decisions share: its extended game and labeling fixpoint."""
 
-    Builds the extended game, computes the fixpoint labeling, and scans the
-    admissible gain profiles in ascending numeric order (player 0 at the
-    least significant bit) for a consistent lasso from the initial vertex;
-    the first hit is returned as the witness. A play with gain m ends among
-    the extended vertices with satisfied set m, so only the sets that occur
-    are scanned, and the work is bounded by the extended game rather than
-    by the 2^n profiles.
+    extended_game: ExtendedGame
+    lambda_star: Labeling
+    k_star: int
+
+    def decide(self, c: ConstraintProfile) -> Decision:
+        """Decide whether an equilibrium with gain between the bounds exists.
+
+        Scans the admissible gain profiles in ascending numeric order
+        (player 0 at the least significant bit) for a consistent lasso from
+        the initial vertex; the first hit is returned as the witness. A play
+        with gain m ends among the extended vertices with satisfied set m,
+        so only the sets that occur are scanned, and the work is bounded by
+        the extended game rather than by the 2^n profiles.
+        """
+        xg, lam, k = self.extended_game, self.lambda_star, self.k_star
+        if c.n != xg.n_players:
+            raise InputError(
+                f"constraint covers {c.n} players but the game has {xg.n_players}"
+            )
+        for mask in sorted(set(xg.satisfied)):
+            profile = GainProfile(mask, c.n)
+            if not c.admits(profile):
+                continue
+            found = exists_consistent_play(xg, lam, xg.x0, profile)
+            if found is not None:
+                witness = Witness(profile, found, xg.project(found))
+                return Decision(True, witness, lam, k, xg)
+        return Decision(False, None, lam, k, xg)
+
+
+@lru_cache(maxsize=256)
+def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
+    xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
+    lam, k = compute_lambda_star(xg)
+    return Analysis(xg, lam, k)
+
+
+def analyze(g: FiniteGame, *, max_ext_vertices: int | None = None) -> Analysis:
+    """Validate g, then build its extended game and labeling fixpoint.
+
+    Validation runs on every call; the rest is cached per (game, cap), so
+    every constraint decided on one game shares one extended game and one
+    fixpoint. A call that hits the size cap caches nothing.
     """
     problems = validate_game(g)
     if problems:
         raise InputError("; ".join(problems))
-    if c.n != g.n_players:
-        raise InputError(
-            f"constraint covers {c.n} players but the game has {g.n_players}"
-        )
-    xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
-    lam, k = compute_lambda_star(xg)
-    for mask in sorted(set(xg.satisfied)):
-        profile = GainProfile(mask, g.n_players)
-        if not c.admits(profile):
-            continue
-        found = exists_consistent_play(xg, lam, xg.x0, profile)
-        if found is not None:
-            witness = Witness(profile, found, xg.project(found))
-            return Decision(True, witness, lam, k, xg)
-    return Decision(False, None, lam, k, xg)
+    return _analysis(g, max_ext_vertices)
+
+
+def decide_constrained_existence(
+    g: FiniteGame, c: ConstraintProfile, *, max_ext_vertices: int | None = None
+) -> Decision:
+    """Decide whether an equilibrium of g with gain between the bounds
+    exists: ``analyze(g, max_ext_vertices=...).decide(c)``."""
+    return analyze(g, max_ext_vertices=max_ext_vertices).decide(c)

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import InputError
 from .game import FiniteGame
-from .timed import COMPARATORS, GuardAtom, PPTA, Transition, validate_ppta
+
+if TYPE_CHECKING:
+    from .timed import PPTA
 
 
 def _load_object(source) -> tuple[dict, str]:
@@ -121,6 +123,9 @@ def dump_finite_game(g: FiniteGame) -> dict:
 
 def load_ppta(source) -> PPTA:
     """Parse a player-partitioned timed automaton from a path or dict."""
+    # imported here so that loading a finite game leaves the timed module out
+    from .timed import COMPARATORS, GuardAtom, PPTA, Transition, validate_ppta
+
     obj, where = _load_object(source)
     players = _get(obj, "players", int, where)
     if players < 1:

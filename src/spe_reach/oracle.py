@@ -53,11 +53,28 @@ def enumerate_lassos(
         raise ValueError("cycle bound must be at least 1")
     if not 0 <= start < g.n_vertices:
         raise ValueError(f"start vertex {start} is not in the game")
-    succ = g.successors
+    succ, pred = g.successors, g.predecessors
+    reaching: dict[int, set[int]] = {}
+
+    def reaches(head: int) -> set[int]:
+        """The vertices with a path to head; every vertex of a simple cycle
+        through head is one of them, so a cycle search need not leave this set."""
+        found = reaching.get(head)
+        if found is None:
+            found = {head}
+            stack = [head]
+            while stack:
+                for u in pred[stack.pop()]:
+                    if u not in found:
+                        found.add(u)
+                        stack.append(u)
+            reaching[head] = found
+        return found
 
     def cycles(head: int) -> Iterator[tuple[int, ...]]:
         path = [head]
         on_path = {head}
+        back = reaches(head)
 
         def extend() -> Iterator[tuple[int, ...]]:
             cur = path[-1]
@@ -65,7 +82,7 @@ def enumerate_lassos(
                 yield tuple(path)
             if len(path) < max_cycle:
                 for w in succ[cur]:
-                    if w not in on_path:
+                    if w in back and w not in on_path:
                         path.append(w)
                         on_path.add(w)
                         yield from extend()

@@ -12,10 +12,9 @@ from math import factorial
 
 import pytest
 
-from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
     Decision,
-    compute_lambda_star,
+    analyze,
     decide_constrained_existence,
     initial_labeling,
     is_consistent,
@@ -96,14 +95,16 @@ def sweep() -> SweepResult:
     for g in corpus:
         result.games += 1
         label = f"game#{result.games}"
-        xg = build_extended_game(g)
+        # every decision below reads this one analysis of g
+        a = analyze(g)
+        xg = a.extended_game
         ref, origin, triples = reference_build_extended_game(g)
         if (xg.origin, xg.successors, xg.predecessors) != (origin, ref.successors, ref.predecessors):
             result.builder_failures.append(f"{label}: adjacency differs from the reference")
         elif xg.game != ref or xg.game.edges != triples:
             result.builder_failures.append(f"{label}: game view differs from the reference")
         n_ext = xg.n_vertices
-        lam_star, k_star = compute_lambda_star(xg)
+        lam_star, k_star = a.lambda_star, a.k_star
 
         # replay the chain with the independent mask-by-mask step
         lam = initial_labeling(xg)
@@ -125,7 +126,7 @@ def sweep() -> SweepResult:
 
         full = (1 << g.n_players) - 1
         for c in all_constraints(g.n_players):
-            d = decide_constrained_existence(g, c)
+            d = a.decide(c)
             if d.answer != oracle_decide(g, c):
                 result.mismatches.append(f"{label}: [{c.lower},{c.upper}] solver={d.answer}")
             result.agreement_checks += 1

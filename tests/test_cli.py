@@ -124,6 +124,28 @@ def complete_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def layered_file(tmp_path):
+    # one player, no targets: s, then 30 layers of two vertices, each layer
+    # joined to all of the next, then a self-looping t; 2^30 paths, none of
+    # which returns to where it started
+    layers = [[f"l{d}_{j}" for j in range(2)] for d in range(30)]
+    steps = [["s"], *layers, ["t"]]
+    edges = [(v, w) for here, there in zip(steps, steps[1:]) for v in here for w in there]
+    names = [v for step in steps for v in step]
+    game = {
+        "players": 1,
+        "alphabet": ["a"],
+        "vertices": [{"name": v, "owner": 0} for v in names],
+        "edges": [{"from": v, "letter": "a", "to": w} for v, w in edges + [("t", "t")]],
+        "targets": [[]],
+        "initial": "s",
+    }
+    path = tmp_path / "layered.json"
+    path.write_text(json.dumps(game), encoding="utf-8")
+    return str(path)
+
+
 def run_cli(args, timeout):
     """Run ``python -m spe_reach ARGS`` in a subprocess, which turns a hang into a failure."""
     src = Path(spe_reach.__file__).parent.parent
@@ -246,17 +268,17 @@ class TestSolveCommand:
 
     def test_import_leaves_out_test_helpers(self):
         # the concrete-valuation helpers live in the tests, and the oracle
-        # module is loaded only on demand; importing the CLI must pull in
-        # none of them, which would add to every solve
+        # and timed modules are loaded only on demand; importing the CLI
+        # must pull in none of them, which would add to every solve
         src = Path(spe_reach.__file__).parent.parent
-        modules = ("fractions", "spe_reach.oracle")
+        modules = ("fractions", "spe_reach.oracle", "spe_reach.timed")
         code = f"import spe_reach.cli, sys; print([m in sys.modules for m in {modules!r}])"
         run = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[False, False]"
+        assert run.stdout.strip() == "[False, False, False]"
 
     def test_leaves_the_game_view_unbuilt(self, fork_file, monkeypatch, capsys):
         decisions = []
@@ -440,6 +462,14 @@ class TestRegionsCommand:
 class TestOracleCheckCommand:
     def test_too_many_lassos_exit_2(self, complete_file):
         run = run_cli(["oracle-check", complete_file], timeout=10)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert "more than 500000 lassos" in run.stderr
+
+    def test_cycle_search_stays_where_it_can_return(self, layered_file):
+        # a cycle search that walked every path from a head it cannot
+        # return to would run for hours before counting a single lasso
+        run = run_cli(["oracle-check", layered_file], timeout=60)
         assert run.returncode == 2
         assert run.stdout == ""
         assert "more than 500000 lassos" in run.stderr

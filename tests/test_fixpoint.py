@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spe_reach.errors import InputError
+from spe_reach import fixpoint
+from spe_reach.errors import InputError, SizeCapError
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
+    _analysis,
     _surviving,
+    analyze,
     compute_lambda_star,
     decide_constrained_existence,
     exists_consistent_play,
@@ -323,3 +326,78 @@ class TestDecide:
         for g in random_games(20, seed=67):
             d = decide_constrained_existence(g, ConstraintProfile.from_words(["any"] * g.n_players))
             assert "game" not in d.extended_game.__dict__
+
+
+def _four_player_game() -> FiniteGame:
+    # a ring of six vertices with a shortcut at every other one; each player
+    # owns some vertices and has one target, so the 81 constraints differ
+    succ = [{1, 3}, {2}, {3, 5}, {4}, {5, 1}, {0}]
+    return game_from_successors(succ, [0, 1, 2, 3, 0, 1], [{1}, {2}, {4}, {5}], 4)
+
+
+class TestAnalyze:
+    def test_one_analysis_serves_every_constraint(self, monkeypatch):
+        g = _four_player_game()
+        calls = {"build": 0, "lambda": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(fixpoint, "build_extended_game", counted("build", fixpoint.build_extended_game))
+        monkeypatch.setattr(fixpoint, "compute_lambda_star", counted("lambda", fixpoint.compute_lambda_star))
+        monkeypatch.setattr(fixpoint, "validate_game", counted("validate", fixpoint.validate_game))
+        constraints = all_constraints(4)
+        assert len(constraints) == 81
+        answers = {decide_constrained_existence(g, c).answer for c in constraints}
+        assert answers == {True, False}
+        assert calls == {"build": 1, "lambda": 1, "validate": 81}
+
+    def test_cached_decisions_equal_fresh_ones(self):
+        for g in random_games(25, seed=71):
+            for c in all_constraints(g.n_players):
+                cached = decide_constrained_existence(g, c)
+                _analysis.cache_clear()
+                fresh = decide_constrained_existence(g, c)
+                assert (cached.answer, cached.witness) == (fresh.answer, fresh.witness)
+                assert (cached.lambda_star, cached.k_star) == (fresh.lambda_star, fresh.k_star)
+                assert cached == fresh
+
+    def test_decide_matches_the_one_call_form(self, fork_game):
+        a = analyze(fork_game)
+        for c in all_constraints(1):
+            assert a.decide(c) == decide_constrained_existence(fork_game, c)
+        assert (a.lambda_star, a.k_star) == compute_lambda_star(a.extended_game)
+
+    def test_size_cap_error_is_not_cached(self, fork_game):
+        for _ in range(2):
+            with pytest.raises(SizeCapError):
+                analyze(fork_game, max_ext_vertices=2)
+        info = _analysis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_each_cap_is_its_own_entry(self, fork_game):
+        small = analyze(fork_game, max_ext_vertices=3)
+        default = analyze(fork_game)
+        assert _analysis.cache_info().currsize == 2
+        assert small is not default and small == default
+        assert analyze(fork_game, max_ext_vertices=3) is small
+        assert _analysis.cache_info().hits == 1
+
+    def test_ill_formed_game_rejected_before_analysis(self, chain_game):
+        broken = FiniteGame(
+            n_players=1,
+            alphabet=chain_game.alphabet,
+            vertex_names=chain_game.vertex_names,
+            out_edges=((("a", 1),), ()),
+            owner=chain_game.owner,
+            targets=chain_game.targets,
+            initial=0,
+        )
+        with pytest.raises(InputError) as excinfo:
+            analyze(broken)
+        assert str(excinfo.value) == "vertex 'B' has no outgoing edge (blocking)"
+        assert _analysis.cache_info().misses == 0
