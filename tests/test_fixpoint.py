@@ -362,8 +362,7 @@ class TestAnalyze:
                 cached = decide_constrained_existence(g, c)
                 _analysis.cache_clear()
                 fresh = decide_constrained_existence(g, c)
-                assert (cached.answer, cached.witness) == (fresh.answer, fresh.witness)
-                assert (cached.lambda_star, cached.k_star) == (fresh.lambda_star, fresh.k_star)
+                # answer, witness, lambda_star, k_star and the extended game
                 assert cached == fresh
 
     def test_decide_matches_the_one_call_form(self, fork_game):
