@@ -15,8 +15,8 @@ its ``decide(c)`` answers one constraint, and ``decide_constrained_existence``
 is the one-call form of both.
 """
 
-from .errors import DeadlockedRegionError, InputError, InvalidLassoError, SizeCapError
-from .extended import ExtendedGame, build_extended_game, lift_lasso
+from .errors import DeadlockedRegionError, InputError, SizeCapError
+from .extended import ExtendedGame, build_extended_game
 from .fixpoint import (
     Analysis,
     Decision,
@@ -27,7 +27,6 @@ from .fixpoint import (
     decide_constrained_existence,
     exists_consistent_play,
     initial_labeling,
-    is_consistent,
     lambda_step,
 )
 from .game import (
@@ -35,8 +34,6 @@ from .game import (
     FiniteGame,
     GainProfile,
     LassoPlay,
-    gain_of_lasso,
-    lasso_violations,
     validate_game,
 )
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
@@ -66,7 +63,6 @@ __all__ = [
     "GainProfile",
     "GuardAtom",
     "InputError",
-    "InvalidLassoError",
     "Labeling",
     "LassoPlay",
     "PPTA",
@@ -82,13 +78,9 @@ __all__ = [
     "describe_region",
     "dump_finite_game",
     "exists_consistent_play",
-    "gain_of_lasso",
     "guard_sat_region",
     "initial_labeling",
-    "is_consistent",
     "lambda_step",
-    "lasso_violations",
-    "lift_lasso",
     "load_finite_game",
     "load_ppta",
     "reset_region",

@@ -5,10 +5,6 @@ class InputError(Exception):
     """Malformed input: a bad file, an ill-formed game, or a violated precondition."""
 
 
-class InvalidLassoError(InputError):
-    """A lasso play uses an edge that does not exist in the game."""
-
-
 class DeadlockedRegionError(InputError):
     """A reachable (location, region) pair has no enabled transition.
 

@@ -10,7 +10,7 @@ the full product with all player subsets.
 The builder records owners, successors and predecessors in the same BFS
 that discovers the vertices; that adjacency is all the solver reads. Vertex
 names, lettered edges and target sets exist only in the lazy ``game`` view,
-which the oracle, the lasso checks and tools use.
+which the oracle and tools use.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, SizeCapError
-from .game import FiniteGame, LassoPlay, require_valid_lasso, validate_game
+from .game import FiniteGame, LassoPlay, validate_game
 
 
 def _set_name(mask: int) -> str:
@@ -60,6 +60,14 @@ class ExtendedGame:
     @cached_property
     def satisfied(self) -> tuple[int, ...]:
         return tuple(mask for _, mask in self.origin)
+
+    @cached_property
+    def layers(self) -> dict[int, tuple[int, ...]]:
+        """Each occurring satisfied set mapped to its vertices, ascending."""
+        layers: dict[int, list[int]] = {}
+        for v, m in enumerate(self.satisfied):
+            layers.setdefault(m, []).append(v)
+        return {m: tuple(vs) for m, vs in layers.items()}
 
     @cached_property
     def base_vertex(self) -> tuple[int, ...]:
@@ -164,45 +172,3 @@ def build_extended_game(
         predecessors=tuple(map(tuple, pred)),
     )
 
-
-def lift_lasso(xg: ExtendedGame, rho: LassoPlay) -> LassoPlay:
-    """Lift a base-game lasso starting at the initial vertex into xg.
-
-    The satisfied sets grow monotonically, so the extended trace of the
-    infinite play becomes periodic once they stabilize; the result may
-    unroll the base cycle into the prefix up to (player count + 1) times
-    before the extended cycle closes. The gain profile is preserved.
-    """
-    g = xg.base
-    require_valid_lasso(g, rho)
-    if rho.start != g.initial:
-        raise InputError(
-            f"lasso starts at '{g.vertex_names[rho.start]}', not the initial vertex"
-        )
-    tm = g.target_mask
-    index = xg.index
-    sat = xg.satisfied
-
-    def step(x: int, dst: int) -> int:
-        return index[(dst, sat[x] | tm[dst])]
-
-    trace = [xg.x0]
-    for v in rho.prefix[1:]:
-        trace.append(step(trace[-1], v))
-    if rho.prefix:
-        trace.append(step(trace[-1], rho.cycle[0]))
-    # walk the repeated cycle until an (extended vertex, cycle offset) pair
-    # recurs; from there the extended trace repeats with the same period
-    length = len(rho.cycle)
-    seen: dict[tuple[int, int], int] = {}
-    pos = len(trace) - 1
-    offset = 0
-    while True:
-        key = (trace[pos], offset)
-        j = seen.get(key)
-        if j is not None:
-            return LassoPlay(tuple(trace[:j]), tuple(trace[j:pos]))
-        seen[key] = pos
-        offset = (offset + 1) % length
-        trace.append(step(trace[pos], rho.cycle[offset]))
-        pos += 1

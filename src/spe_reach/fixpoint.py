@@ -12,9 +12,10 @@ the labels, so constrained existence reduces to searching for one consistent
 lasso per admissible gain profile.
 
 The extended game and the fixpoint depend on the game alone, so
-:func:`analyze` computes them once per game (and size cap) and keeps the
-result as an :class:`Analysis`; :meth:`Analysis.decide` then runs only the
-per-constraint profile scan.
+:func:`analyze` validates the game and computes them once per game (and
+size cap), keeping the result as an :class:`Analysis`;
+:meth:`Analysis.decide` then runs only the per-constraint profile scan,
+each search confined to the down-set of its gain profile.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 from .errors import InputError
 from .extended import ExtendedGame, build_extended_game
-from .game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, require_valid_lasso, validate_game
+from .game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, validate_game
 
 Labeling = tuple[int, ...]
 
@@ -35,58 +36,32 @@ def initial_labeling(xg: ExtendedGame) -> Labeling:
     return (0,) * xg.n_vertices
 
 
-def is_consistent(xg: ExtendedGame, lam: Labeling, rho: LassoPlay) -> bool:
-    """Check the per-position label constraints along a lasso.
-
-    At every position owned by player i, the gain of i on the remaining
-    suffix must be at least the label of that vertex. Cycle positions all
-    see the same suffix gains (every cycle suffix visits the whole cycle),
-    so they are checked once.
-    """
-    g = xg.game
-    if len(lam) != g.n_vertices:
-        raise ValueError("labeling must be total over the extended vertices")
-    require_valid_lasso(g, rho)
-    tm = g.target_mask
-    owner = g.owner
-    cycle_mask = 0
-    for v in rho.cycle:
-        cycle_mask |= tm[v]
-    for v in rho.cycle:
-        if lam[v] and not (cycle_mask >> owner[v]) & 1:
-            return False
-    seen = cycle_mask
-    for v in reversed(rho.prefix):
-        seen |= tm[v]
-        if lam[v] and not (seen >> owner[v]) & 1:
-            return False
-    return True
-
-
 def _surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
     """Vertices usable by a consistent play whose losers are outside win_mask.
 
-    Deletes vertices where a supposed loser is already satisfied, vertices
-    owned by a loser but labeled 1, and then iteratively everything left
-    without a successor, so any surviving vertex can continue forever.
+    Only the down-set of win_mask is a candidate: a vertex where a supposed
+    loser is already satisfied is never alive. Of those, vertices owned by a
+    loser but labeled 1 are deleted, and then iteratively everything left
+    without a successor, so any surviving vertex can continue forever. The
+    result is the greatest such set, so the visiting order does not matter.
     """
     n = xg.n_vertices
     lose_mask = ((1 << xg.n_players) - 1) ^ win_mask
-    sat, owner = xg.satisfied, xg.owner
-    alive = [
-        not (sat[v] & lose_mask) and not (lam[v] and (lose_mask >> owner[v]) & 1)
-        for v in range(n)
-    ]
-    succ = xg.successors
+    owner, succ, pred = xg.owner, xg.successors, xg.predecessors
+    alive = [False] * n
+    candidates: list[int] = []
+    for m, layer in xg.layers.items():
+        if not m & lose_mask:
+            for v in layer:
+                if not (lam[v] and (lose_mask >> owner[v]) & 1):
+                    alive[v] = True
+                    candidates.append(v)
     out = [0] * n
     dead: deque[int] = deque()
-    for v in range(n):
-        if not alive[v]:
-            continue
-        out[v] = sum(1 for w in succ[v] if alive[w])
+    for v in candidates:
+        out[v] = sum(map(alive.__getitem__, succ[v]))
         if out[v] == 0:
             dead.append(v)
-    pred = xg.predecessors
     while dead:
         v = dead.popleft()
         alive[v] = False
@@ -168,13 +143,12 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     owner, succ, pred = xg.owner, xg.successors, xg.predecessors
     full = (1 << xg.n_players) - 1
     blocked = [label << i for label, i in zip(lam, owner)]  # the owner bit if labeled 1
-    layers: dict[int, list[int]] = {}
-    for v, m in enumerate(xg.satisfied):
-        layers.setdefault(m, []).append(v)
     # mark[v] == m: v is in the core of layer m, and after pruning, v reaches it
     mark, out, canlose = [-1] * n, [0] * n, [0] * n
-    for m, layer in layers.items():
+    for m, layer in xg.layers.items():
         lose = full ^ m
+        if not lose:
+            continue  # nobody can lose a play of gain "all": the search would OR in 0
         core = [v for v in layer if not blocked[v] & lose]
         for v in core:
             mark[v] = m
@@ -257,16 +231,17 @@ class Analysis:
         Scans the admissible gain profiles in ascending numeric order
         (player 0 at the least significant bit) for a consistent lasso from
         the initial vertex; the first hit is returned as the witness. A play
-        with gain m ends among the extended vertices with satisfied set m,
-        so only the sets that occur are scanned, and the work is bounded by
-        the extended game rather than by the 2^n profiles.
+        with gain m ends among the extended vertices with satisfied set m
+        and never leaves the down-set of m, so only the sets that occur are
+        scanned, each search stays within its down-set, and the work is
+        bounded by the extended game rather than by the 2^n profiles.
         """
         xg, lam, k = self.extended_game, self.lambda_star, self.k_star
         if c.n != xg.n_players:
             raise InputError(
                 f"constraint covers {c.n} players but the game has {xg.n_players}"
             )
-        for mask in sorted(set(xg.satisfied)):
+        for mask in sorted(xg.layers):
             profile = GainProfile(mask, c.n)
             if not c.admits(profile):
                 continue
@@ -279,6 +254,10 @@ class Analysis:
 
 @lru_cache(maxsize=256)
 def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
+    # an ill-formed game raises here, so only a validated game is cached
+    problems = validate_game(g)
+    if problems:
+        raise InputError("; ".join(problems))
     xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
     lam, k = compute_lambda_star(xg)
     return Analysis(xg, lam, k)
@@ -287,13 +266,12 @@ def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
 def analyze(g: FiniteGame, *, max_ext_vertices: int | None = None) -> Analysis:
     """Validate g, then build its extended game and labeling fixpoint.
 
-    Validation runs on every call; the rest is cached per (game, cap), so
-    every constraint decided on one game shares one extended game and one
-    fixpoint. A call that hits the size cap caches nothing.
+    All three are cached per (game, cap), so every constraint decided on one
+    game shares one validation, one extended game and one fixpoint. A game
+    value is immutable, so an equal game found in the cache has passed
+    validation already. A call that fails validation or hits the size cap
+    caches nothing, and an ill-formed game is rejected on every call.
     """
-    problems = validate_game(g)
-    if problems:
-        raise InputError("; ".join(problems))
     return _analysis(g, max_ext_vertices)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, InvalidLassoError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,22 @@ class FiniteGame:
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_names)
+
+    def __hash__(self) -> int:
+        # the fields the generated __eq__ compares, hashed once per instance
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((
+                self.n_players, self.alphabet, self.vertex_names, self.out_edges,
+                self.owner, self.targets, self.initial,
+            ))
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a pickle drops the memo
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     @cached_property
     def edges(self) -> tuple[tuple[int, str, int], ...]:
@@ -293,36 +309,3 @@ class LassoPlay:
             yield a, b
         yield self.cycle[-1], self.cycle[0]
 
-
-def lasso_violations(g: FiniteGame, rho: LassoPlay) -> list[str]:
-    """Report the structural defects of rho as a play of g."""
-    nv = g.n_vertices
-    for v in rho.prefix + rho.cycle:
-        if not 0 <= v < nv:
-            return [f"lasso references unknown vertex id {v}"]
-    succ = g.successors
-    return [
-        f"no edge from '{g.vertex_names[a]}' to '{g.vertex_names[b]}'"
-        for a, b in rho.steps()
-        if b not in succ[a]
-    ]
-
-
-def require_valid_lasso(g: FiniteGame, rho: LassoPlay) -> None:
-    problems = lasso_violations(g, rho)
-    if problems:
-        raise InvalidLassoError(problems[0])
-
-
-def gain_of_lasso(g: FiniteGame, rho: LassoPlay) -> GainProfile:
-    """Gain profile of the infinite play denoted by rho.
-
-    Player i wins iff some vertex of the prefix or the cycle lies in
-    ``targets[i]``.
-    """
-    require_valid_lasso(g, rho)
-    tm = g.target_mask
-    mask = 0
-    for v in rho.visited:
-        mask |= tm[v]
-    return GainProfile(mask, g.n_players)

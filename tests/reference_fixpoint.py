@@ -5,8 +5,9 @@ computes layer by layer: for every gain profile, prune the whole extended
 game with ``_surviving`` and search backward from the vertices whose
 satisfied set is exactly that profile; then take, per (vertex, successor),
 the minimum over profiles through those source sets. It is slow on
-purpose and shares no code with the layered step beyond ``_surviving``,
-so tests can compare the two.
+purpose and shares no code with the layered step, so tests can compare
+the two. ``reference_surviving`` is the full-scan form of the pruning that
+``spe_reach.fixpoint._surviving`` confines to a profile's down-set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,42 @@ from __future__ import annotations
 from collections import deque
 
 from spe_reach.extended import ExtendedGame
-from spe_reach.fixpoint import Labeling, _surviving
+from spe_reach.fixpoint import Labeling
+
+
+def reference_surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
+    """Vertices usable by a consistent play whose losers are outside win_mask.
+
+    Scans every extended vertex: deletes those where a supposed loser is
+    already satisfied, those owned by a loser but labeled 1, and then
+    iteratively everything left without a successor.
+    """
+    n = xg.n_vertices
+    lose_mask = ((1 << xg.n_players) - 1) ^ win_mask
+    sat, owner = xg.satisfied, xg.owner
+    alive = [
+        not (sat[v] & lose_mask) and not (lam[v] and (lose_mask >> owner[v]) & 1)
+        for v in range(n)
+    ]
+    succ = xg.successors
+    out = [0] * n
+    dead: deque[int] = deque()
+    for v in range(n):
+        if not alive[v]:
+            continue
+        out[v] = sum(1 for w in succ[v] if alive[w])
+        if out[v] == 0:
+            dead.append(v)
+    pred = xg.predecessors
+    while dead:
+        v = dead.popleft()
+        alive[v] = False
+        for u in pred[v]:
+            if alive[u]:
+                out[u] -= 1
+                if out[u] == 0:
+                    dead.append(u)
+    return alive
 
 
 def reference_sources(xg: ExtendedGame, lam: Labeling, mask: int) -> list[bool]:
@@ -22,7 +58,7 @@ def reference_sources(xg: ExtendedGame, lam: Labeling, mask: int) -> list[bool]:
     n = xg.game.n_vertices
     sat = xg.satisfied
     pred = xg.game.predecessors
-    alive = _surviving(xg, lam, mask)
+    alive = reference_surviving(xg, lam, mask)
     res = [False] * n
     queue: deque[int] = deque()
     for v in range(n):

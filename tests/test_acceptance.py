@@ -17,9 +17,8 @@ from spe_reach.fixpoint import (
     analyze,
     decide_constrained_existence,
     initial_labeling,
-    is_consistent,
 )
-from spe_reach.game import ConstraintProfile, FiniteGame, gain_of_lasso
+from spe_reach.game import ConstraintProfile, FiniteGame
 from spe_reach.oracle import oracle_decide
 from spe_reach.timed import PPTA, build_region_game, guard_sat_region, reset_region
 
@@ -41,6 +40,7 @@ from generators import (
     exhaustive_grid,
     random_games,
 )
+from lassos import gain_of_lasso, is_consistent
 from quotient import quotient_game
 from reference_extended import reference_build_extended_game
 from reference_fixpoint import reference_lambda_step

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from spe_reach.errors import InputError, SizeCapError
-from spe_reach.extended import build_extended_game, lift_lasso
-from spe_reach.game import FiniteGame, LassoPlay, gain_of_lasso
+from spe_reach.extended import build_extended_game
+from spe_reach.game import FiniteGame, LassoPlay
 
 from generators import random_games
+from lassos import gain_of_lasso, lift_lasso
 from reference_extended import reference_build_extended_game
 
 
@@ -50,6 +51,17 @@ def test_satisfied_sets_grow_along_edges():
         sat = xg.satisfied
         for src, _, dst in xg.game.edges:
             assert sat[src] | sat[dst] == sat[dst]
+
+
+def test_layers_partition_the_vertices():
+    for g in random_games(30, seed=31, max_players=4):
+        xg = build_extended_game(g)
+        layers = xg.layers
+        assert set(layers) == set(xg.satisfied)
+        assert sorted(v for layer in layers.values() for v in layer) == list(range(xg.n_vertices))
+        for m, layer in layers.items():
+            assert list(layer) == sorted(layer)
+            assert all(xg.satisfied[v] == m for v in layer)
 
 
 def test_size_bound():

@@ -12,13 +12,13 @@ from spe_reach.fixpoint import (
     decide_constrained_existence,
     exists_consistent_play,
     initial_labeling,
-    is_consistent,
     lambda_step,
 )
-from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, gain_of_lasso
+from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 
 from generators import all_constraints, game_from_successors, random_games
-from reference_fixpoint import reference_lambda_step, reference_sources
+from lassos import gain_of_lasso, is_consistent
+from reference_fixpoint import reference_lambda_step, reference_sources, reference_surviving
 
 
 @pytest.fixture
@@ -202,6 +202,54 @@ class TestLayeredStepMatchesReference:
         assert new == reference_lambda_step(xg, lam)
 
 
+    def test_full_layer_on_a_hand_built_game(self):
+        # layers {} = I, A; {0} = B; {0,1} = C, D. The full layer {0,1} has
+        # no loser, so the step skips its search; labels of its vertices
+        # and of their predecessors must still match the reference.
+        g = FiniteGame.build(
+            vertices=["I", "A", "B", "C", "D"],
+            edges=[
+                ("I", "a", "A"), ("I", "a", "B"), ("A", "a", "A"), ("A", "a", "C"),
+                ("B", "a", "C"), ("B", "a", "B"), ("C", "a", "D"), ("D", "a", "C"),
+            ],
+            owner={"I": 0, "A": 1, "B": 1, "C": 0, "D": 1},
+            targets=[["B", "C"], ["C"]],
+            initial="I",
+        )
+        xg = build_extended_game(g)
+        assert 0b11 in xg.layers
+        lam = initial_labeling(xg)
+        while True:
+            nxt = lambda_step(xg, lam)
+            assert nxt == reference_lambda_step(xg, lam)
+            for m in range(4):
+                assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+            if nxt == lam:
+                break
+            lam = nxt
+
+
+class TestSurvivingMatchesReference:
+    def test_every_mask_of_the_chain_on_random_games(self):
+        for g in random_games(150, seed=79, max_vertices=12, max_players=4, max_ext_vertices=400):
+            xg = build_extended_game(g)
+            lam = initial_labeling(xg)
+            while True:
+                for m in xg.layers:
+                    assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+                nxt = lambda_step(xg, lam)
+                if nxt == lam:
+                    break
+                lam = nxt
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_games())
+    def test_any_labeling_of_small_games(self, case):
+        xg, lam = case
+        for m in range(1 << xg.n_players):
+            assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+
+
 class TestComputeLambdaStar:
     def test_chain(self, chain_game):
         xg = build_extended_game(chain_game)
@@ -354,7 +402,7 @@ class TestAnalyze:
         assert len(constraints) == 81
         answers = {decide_constrained_existence(g, c).answer for c in constraints}
         assert answers == {True, False}
-        assert calls == {"build": 1, "lambda": 1, "validate": 81}
+        assert calls == {"build": 1, "lambda": 1, "validate": 1}
 
     def test_cached_decisions_equal_fresh_ones(self):
         for g in random_games(25, seed=71):
@@ -399,4 +447,34 @@ class TestAnalyze:
         with pytest.raises(InputError) as excinfo:
             analyze(broken)
         assert str(excinfo.value) == "vertex 'B' has no outgoing edge (blocking)"
-        assert _analysis.cache_info().misses == 0
+        assert _analysis.cache_info().currsize == 0
+
+    def test_ill_formed_game_rejected_on_every_call(self, chain_game):
+        broken = FiniteGame(
+            n_players=1,
+            alphabet=chain_game.alphabet,
+            vertex_names=chain_game.vertex_names,
+            out_edges=((("z", 1),), ()),
+            owner=chain_game.owner,
+            targets=chain_game.targets,
+            initial=0,
+        )
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputError) as excinfo:
+                decide_constrained_existence(broken, ConstraintProfile.from_words(["any"]))
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            "edge row 0: letter 'z' not in the alphabet; "
+            "vertex 'B' has no outgoing edge (blocking)"
+        )
+        assert _analysis.cache_info().currsize == 0
+
+    def test_decide_leaves_the_views_unbuilt(self):
+        g = _four_player_game()
+        a = analyze(g)
+        for c in all_constraints(4):
+            a.decide(c)
+        assert "game" not in a.extended_game.__dict__
+        assert "edges" not in g.__dict__

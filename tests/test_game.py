@@ -1,21 +1,22 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spe_reach import fixpoint
-from spe_reach.errors import InputError, InvalidLassoError
+from spe_reach.errors import InputError
 from spe_reach.game import (
     ConstraintProfile,
     FiniteGame,
     GainProfile,
     LassoPlay,
-    gain_of_lasso,
-    lasso_violations,
     validate_game,
 )
 
 from generators import random_games
+from lassos import InvalidLassoError, gain_of_lasso, lasso_violations
 
 
 class TestGainProfile:
@@ -229,6 +230,33 @@ def test_multi_edges_collapse_to_one_successor():
     assert g.successors[0] == (1,)
     assert g.out_edges[0] == (("a", 1), ("b", 1))
     assert gain_of_lasso(g, LassoPlay((0,), (1,))).bits == (1,)
+
+
+class TestGameHash:
+    def test_equal_games_hash_equal(self):
+        for g in random_games(20, seed=37):
+            twin = FiniteGame(
+                n_players=g.n_players,
+                alphabet=tuple(g.alphabet),
+                vertex_names=tuple(g.vertex_names),
+                out_edges=tuple(tuple(row) for row in g.out_edges),
+                owner=tuple(g.owner),
+                targets=tuple(frozenset(ts) for ts in g.targets),
+                initial=g.initial,
+            )
+            assert twin is not g and twin == g
+            assert hash(twin) == hash(g) == hash(g)
+
+    def test_differing_games_compare_unequal(self, chain_game):
+        other = dataclasses.replace(chain_game, initial=1)
+        assert other != chain_game
+        assert hash(other) == hash(dataclasses.replace(chain_game, initial=1))
+
+    def test_pickle_drops_the_memoized_hash(self, chain_game):
+        hash(chain_game)
+        copy = pickle.loads(pickle.dumps(chain_game))
+        assert "_hash" not in copy.__dict__
+        assert copy == chain_game and hash(copy) == hash(chain_game)
 
 
 class TestLassoPlay:

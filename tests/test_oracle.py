@@ -1,8 +1,8 @@
 import pytest
 
 from spe_reach.extended import build_extended_game
-from spe_reach.fixpoint import compute_lambda_star, decide_constrained_existence, is_consistent
-from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, gain_of_lasso
+from spe_reach.fixpoint import compute_lambda_star, decide_constrained_existence
+from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 from spe_reach.oracle import (
     ORACLE_MAX_EXT_VERTICES,
     enumerate_lassos,
@@ -11,6 +11,7 @@ from spe_reach.oracle import (
 )
 
 from generators import all_constraints, random_games
+from lassos import gain_of_lasso, is_consistent
 
 
 class TestEnumerateLassos:
@@ -57,7 +58,7 @@ class TestEnumerateLassos:
 
 
 def _violations(g, rho):
-    from spe_reach.game import lasso_violations
+    from lassos import lasso_violations
 
     return lasso_violations(g, rho)
 
