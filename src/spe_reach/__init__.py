@@ -5,7 +5,8 @@ fixpoint; timed games are reduced to finite ones by the clock-region
 quotient first. All three graphs (the input arena, the region game and the
 extended game's ``game`` view) are ``FiniteGame`` values that store one
 per-vertex row of (letter, target) edges. A bounded brute-force oracle
-(``spe_reach.oracle``) cross-checks the solver on small instances; it is
+(``spe_reach.oracle``) recomputes an extended game's SPE outcome set by
+lasso enumeration to cross-check the solver on small instances; it is
 left out of this namespace so that importing the solver stays cheap. For
 the same reason the timed-automaton names are served from
 ``spe_reach.timed`` only when first looked up.

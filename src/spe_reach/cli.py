@@ -54,7 +54,7 @@ def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
         "--player",
         action="append",
         default=[],
-        metavar="I=WIN|LOSE|ANY",
+        metavar="I=win|lose|any",
         help="constrain player I (0-based) to win, lose, or any (default any)",
     )
 
@@ -104,14 +104,14 @@ def _print_labeling(decision: Decision) -> None:
     print(f"iterations to fixpoint: {decision.k_star}")
 
 
-def _print_oracle_line(g: FiniteGame, c: ConstraintProfile, decision: Decision) -> None:
-    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_decide
+def _print_oracle_line(c: ConstraintProfile, decision: Decision) -> None:
+    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_outcomes
 
     if decision.extended_game.n_vertices > ORACLE_MAX_EXT_VERTICES:
         print("oracle: skipped (extended game too large)")
         return
     try:
-        agreed = oracle_decide(g, c) == decision.answer
+        agreed = any(map(c.admits, oracle_outcomes(decision.extended_game))) == decision.answer
     except OracleLimitError as exc:
         print(f"oracle: skipped ({exc})")
         return
@@ -128,7 +128,7 @@ def _solve_game(g: FiniteGame, args: argparse.Namespace) -> int:
     if args.show_lambda:
         _print_labeling(decision)
     if args.oracle:
-        _print_oracle_line(g, c, decision)
+        _print_oracle_line(c, decision)
     return args.status
 
 
@@ -162,7 +162,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_decide
+    from .oracle import ORACLE_MAX_EXT_VERTICES, OracleLimitError, oracle_outcomes
 
     g = load_finite_game(args.game)
     c = _parse_constraint(args.player, g.n_players)
@@ -173,7 +173,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             f"the oracle only handles up to {ORACLE_MAX_EXT_VERTICES}"
         )
     try:
-        oracle_answer = oracle_decide(g, c)
+        oracle_answer = any(map(c.admits, oracle_outcomes(decision.extended_game)))
     except OracleLimitError as exc:
         raise InputError(f"the oracle gives up: {exc}") from exc
     agreed = oracle_answer == decision.answer

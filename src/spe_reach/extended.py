@@ -10,7 +10,7 @@ the full product with all player subsets.
 The builder records owners, successors and predecessors in the same BFS
 that discovers the vertices; that adjacency is all the solver reads. Vertex
 names, lettered edges and target sets exist only in the lazy ``game`` view,
-which the oracle and tools use.
+which dumps, tools and tests use; the oracle reads the adjacency too.
 """
 
 from __future__ import annotations

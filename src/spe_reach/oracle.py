@@ -2,9 +2,11 @@
 
 Everything here works by enumerating lasso plays outright: the labeling
 recurrence is evaluated by scanning plays instead of pruning graphs, and the
-final decision scans plays from the initial vertex. The only machinery shared
-with the solver is the data model and the extended-game construction; none of
-the solver's pruning or reachability code is used. Sizes are guarded, since
+outcome set is read off the consistent plays from the initial vertex. The
+oracle reads the extended game's owners, satisfied sets and adjacency
+directly; none of the solver's pruning or reachability code is used, and
+nothing is cached. ``oracle_outcomes(xg)`` makes one pass per extended game,
+and that one set answers every constraint on it. Sizes are guarded, since
 enumeration is exponential: the extended game may have at most
 ``ORACLE_MAX_EXT_VERTICES`` vertices, and the lassos enumerated for one
 game count against ``ORACLE_MAX_LASSOS``.
@@ -19,11 +21,10 @@ this against the unrestricted enumeration.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
-from .extended import ExtendedGame, build_extended_game
-from .game import ConstraintProfile, FiniteGame, LassoPlay
+from .extended import ExtendedGame
+from .game import FiniteGame, GainProfile, LassoPlay
 
 ORACLE_MAX_EXT_VERTICES = 64
 # a dense game under the vertex bound can still have billions of lassos; the
@@ -36,7 +37,7 @@ class OracleLimitError(ValueError):
 
 
 def enumerate_lassos(
-    g: FiniteGame,
+    g: FiniteGame | ExtendedGame,
     start: int,
     max_prefix: int,
     max_cycle: int,
@@ -47,7 +48,9 @@ def enumerate_lassos(
 
     Cycles never repeat a vertex; prefixes may, unless ``simple_prefix`` is
     set. Enumeration order is deterministic: depth-first over prefixes with
-    ascending successors, and for each prefix depth-first over cycles.
+    ascending successors, and for each prefix depth-first over cycles. Only
+    ``n_vertices``, ``successors`` and ``predecessors`` are read, so g may be
+    a ``FiniteGame`` or an ``ExtendedGame``.
     """
     if max_cycle < 1:
         raise ValueError("cycle bound must be at least 1")
@@ -116,16 +119,6 @@ def enumerate_lassos(
     yield from with_prefix()
 
 
-def _guard(xg: ExtendedGame) -> None:
-    n = xg.n_vertices
-    if n > ORACLE_MAX_EXT_VERTICES:
-        raise OracleLimitError(
-            f"extended game has {n} vertices; the oracle refuses instances "
-            f"above {ORACLE_MAX_EXT_VERTICES}"
-        )
-
-
-@lru_cache(maxsize=64)
 def _lasso_summaries(xg: ExtendedGame) -> tuple[frozenset[tuple[int, int]], ...]:
     """Per vertex, the set of (gain mask, binding vertices) pairs over all lassos.
 
@@ -137,29 +130,27 @@ def _lasso_summaries(xg: ExtendedGame) -> tuple[frozenset[tuple[int, int]], ...]
     :class:`OracleLimitError` once more than ``ORACLE_MAX_LASSOS`` lassos
     have been enumerated.
     """
-    g = xg.game
-    n = g.n_vertices
-    tm = g.target_mask
-    owner = g.owner
+    n = xg.n_vertices
+    sat = xg.satisfied
+    owner = xg.owner
     out = []
     count = 0
     for start in range(n):
         summaries: set[tuple[int, int]] = set()
-        for rho in enumerate_lassos(g, start, n, n, simple_prefix=True):
+        for rho in enumerate_lassos(xg, start, n, n, simple_prefix=True):
             count += 1
             if count > ORACLE_MAX_LASSOS:
                 raise OracleLimitError(f"more than {ORACLE_MAX_LASSOS} lassos to enumerate")
             suffix_gain = 0
             for v in rho.cycle:
-                suffix_gain |= tm[v]
+                suffix_gain |= sat[v]
             binding = 0
             for v in rho.cycle:
                 if not (suffix_gain >> owner[v]) & 1:
                     binding |= 1 << v
             gain = suffix_gain
-            for j in range(len(rho.prefix) - 1, -1, -1):
-                v = rho.prefix[j]
-                gain |= tm[v]
+            for v in reversed(rho.prefix):
+                gain |= sat[v]
                 if not (gain >> owner[v]) & 1:
                     binding |= 1 << v
             summaries.add((gain, binding))
@@ -167,23 +158,25 @@ def _lasso_summaries(xg: ExtendedGame) -> tuple[frozenset[tuple[int, int]], ...]
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def oracle_lambda_star(xg: ExtendedGame) -> tuple[int, ...]:
-    """Fixpoint labeling computed by scanning enumerated lassos.
+def _solve(xg: ExtendedGame) -> tuple[tuple[frozenset[tuple[int, int]], ...], int]:
+    """The lasso summaries and the fixpoint labeling as a bit set over vertices.
 
     Same recurrence as the solver, with the inner minimum read off the
-    enumerated consistent plays; must agree with the solver's fixpoint.
+    enumerated consistent plays.
     """
-    _guard(xg)
-    g = xg.game
-    n = g.n_vertices
+    n = xg.n_vertices
+    if n > ORACLE_MAX_EXT_VERTICES:
+        raise OracleLimitError(
+            f"extended game has {n} vertices; the oracle refuses instances "
+            f"above {ORACLE_MAX_EXT_VERTICES}"
+        )
     summaries = _lasso_summaries(xg)
-    succ = g.successors
+    succ, owner = xg.successors, xg.owner
     lam_mask = 0
     while True:
         new_mask = 0
         for v in range(n):
-            i = g.owner[v]
+            i = owner[v]
             for w in succ[v]:
                 loses = any(
                     not (gain >> i) & 1 and not binding & lam_mask
@@ -193,20 +186,24 @@ def oracle_lambda_star(xg: ExtendedGame) -> tuple[int, ...]:
                     new_mask |= 1 << v
                     break
         if new_mask == lam_mask:
-            return tuple((lam_mask >> v) & 1 for v in range(n))
+            return summaries, lam_mask
         lam_mask = new_mask
 
 
-def oracle_decide(g: FiniteGame, c: ConstraintProfile) -> bool:
-    """Decide constrained existence by enumeration over the extended game."""
-    xg = build_extended_game(g)
-    _guard(xg)
-    lam = oracle_lambda_star(xg)
-    lam_mask = 0
-    for v, bit in enumerate(lam):
-        lam_mask |= bit << v
-    lo, up = c.lower.mask, c.upper.mask
-    for gain, binding in _lasso_summaries(xg)[xg.x0]:
-        if lo | gain == gain and gain | up == up and not binding & lam_mask:
-            return True
-    return False
+def oracle_lambda_star(xg: ExtendedGame) -> tuple[int, ...]:
+    """Fixpoint labeling computed by scanning enumerated lassos; must agree
+    with the solver's fixpoint."""
+    lam_mask = _solve(xg)[1]
+    return tuple((lam_mask >> v) & 1 for v in range(xg.n_vertices))
+
+
+def oracle_outcomes(xg: ExtendedGame) -> frozenset[GainProfile]:
+    """The SPE outcomes: the gain profiles of the plays from the initial
+    vertex that are consistent with the fixpoint labeling. A constraint c
+    has a solution iff ``any(map(c.admits, outcomes))``."""
+    summaries, lam_mask = _solve(xg)
+    return frozenset(
+        GainProfile(gain, xg.n_players)
+        for gain, binding in summaries[xg.x0]
+        if not binding & lam_mask
+    )

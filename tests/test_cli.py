@@ -11,9 +11,10 @@ import spe_reach
 from spe_reach import cli
 from spe_reach.cli import main
 from spe_reach.errors import InputError
+from spe_reach.extended import build_extended_game
 from spe_reach.game import ConstraintProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
-from spe_reach.oracle import oracle_decide
+from spe_reach.oracle import oracle_outcomes
 
 FORK_GAME = {
     "players": 1,
@@ -142,6 +143,24 @@ def layered_file(tmp_path):
         "initial": "s",
     }
     path = tmp_path / "layered.json"
+    path.write_text(json.dumps(game), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def k10_file(tmp_path):
+    # three players, every edge of the complete graph on 10 vertices: 68
+    # extended vertices, past the oracle's bound of 64
+    names = [f"v{i}" for i in range(10)]
+    game = {
+        "players": 3,
+        "alphabet": ["a"],
+        "vertices": [{"name": v, "owner": 0} for v in names],
+        "edges": [{"from": v, "letter": "a", "to": w} for v in names for w in names],
+        "targets": [["v1"], ["v2"], ["v3"]],
+        "initial": "v0",
+    }
+    path = tmp_path / "k10.json"
     path.write_text(json.dumps(game), encoding="utf-8")
     return str(path)
 
@@ -317,6 +336,12 @@ class TestSolveCommand:
             "oracle: skipped (more than 500000 lassos to enumerate)",
         ]
 
+    def test_oracle_skips_a_game_past_the_vertex_bound(self, k10_file, capsys):
+        assert main(["solve", k10_file, "--oracle"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "YES\noracle: skipped (extended game too large)\n"
+        assert err == ""
+
     def test_many_players_answer_fast(self, tmp_path):
         # one vertex that is a target of every player: the profile scan must
         # not walk all 2^30 masks; a subprocess turns a hang into a failure
@@ -341,11 +366,17 @@ class TestSolveCommand:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
         )
         assert time.perf_counter() - start < 1.0
-        small = load_finite_game(one_vertex(3))
-        expected = oracle_decide(small, ConstraintProfile.from_words(["win", "any", "any"]))
+        small = build_extended_game(load_finite_game(one_vertex(3)))
+        c = ConstraintProfile.from_words(["win", "any", "any"])
+        expected = any(map(c.admits, oracle_outcomes(small)))
         assert run.returncode == (0 if expected else 1), run.stderr
         assert f"witness gain: ({','.join(['1'] * 30)})" in run.stdout
         assert f"A|{{{','.join(map(str, range(30)))}}}  1" in run.stdout
+
+    def test_player_help_names_the_accepted_words(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "--player I=win|lose|any" in capsys.readouterr().out
 
     def test_bad_player_flag_exit_2(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "9=win"]) == 2
@@ -460,6 +491,12 @@ class TestRegionsCommand:
 
 
 class TestOracleCheckCommand:
+    def test_too_many_extended_vertices_exit_2(self, k10_file, capsys):
+        assert main(["oracle-check", k10_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: extended game has 68 vertices; the oracle only handles up to 64\n"
+
     def test_too_many_lassos_exit_2(self, complete_file):
         run = run_cli(["oracle-check", complete_file], timeout=10)
         assert run.returncode == 2

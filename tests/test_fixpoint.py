@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spe_reach
 from spe_reach import fixpoint
 from spe_reach.errors import InputError, SizeCapError
 from spe_reach.extended import build_extended_game
@@ -478,3 +482,19 @@ class TestAnalyze:
             a.decide(c)
         assert "game" not in a.extended_game.__dict__
         assert "edges" not in g.__dict__
+
+    def test_the_analysis_is_the_only_cache(self):
+        # a module-level cache holds whole games across calls; walk every
+        # module, the oracle and timed ones that the package import skips too
+        names = [f"spe_reach.{m.name}" for m in pkgutil.iter_modules(spe_reach.__path__)]
+        assert {"spe_reach.oracle", "spe_reach.timed"} <= set(names)
+        cached = []
+        for module in map(importlib.import_module, names):
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+                    member = getattr(member, "__func__", member)
+                    if hasattr(member, "cache_info"):
+                        cached.append(f"{module.__name__}.{member.__qualname__}")
+        assert cached == ["spe_reach.fixpoint._analysis"]

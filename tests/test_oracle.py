@@ -1,13 +1,19 @@
 import pytest
 
 from spe_reach.extended import build_extended_game
-from spe_reach.fixpoint import compute_lambda_star, decide_constrained_existence
+from spe_reach.fixpoint import (
+    analyze,
+    compute_lambda_star,
+    decide_constrained_existence,
+    exists_consistent_play,
+)
 from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 from spe_reach.oracle import (
     ORACLE_MAX_EXT_VERTICES,
+    OracleLimitError,
     enumerate_lassos,
-    oracle_decide,
     oracle_lambda_star,
+    oracle_outcomes,
 )
 
 from generators import all_constraints, random_games
@@ -103,25 +109,53 @@ class TestOracleLambdaStar:
         )
         xg = build_extended_game(g)
         assert xg.game.n_vertices > ORACLE_MAX_EXT_VERTICES
-        with pytest.raises(ValueError, match="refuses"):
-            oracle_lambda_star(xg)
+        for oracle in (oracle_lambda_star, oracle_outcomes):
+            with pytest.raises(OracleLimitError, match="refuses"):
+                oracle(xg)
+
+
+def _oracle_answer(g, c):
+    return any(map(c.admits, oracle_outcomes(build_extended_game(g))))
 
 
 class TestOracleDecide:
     def test_fork_win(self, fork_game):
-        assert oracle_decide(fork_game, ConstraintProfile.from_words(["win"]))
+        assert _oracle_answer(fork_game, ConstraintProfile.from_words(["win"]))
 
     def test_fork_lose(self, fork_game):
-        assert not oracle_decide(fork_game, ConstraintProfile.from_words(["lose"]))
+        assert not _oracle_answer(fork_game, ConstraintProfile.from_words(["lose"]))
 
     def test_unconstrained_always_yes(self):
         for g in random_games(25, seed=89):
-            assert oracle_decide(g, ConstraintProfile.from_words(["any"] * g.n_players))
+            assert _oracle_answer(g, ConstraintProfile.from_words(["any"] * g.n_players))
 
     def test_agrees_with_solver(self):
         for g in random_games(30, seed=97):
+            outcomes = oracle_outcomes(build_extended_game(g))
             for c in all_constraints(g.n_players):
-                assert oracle_decide(g, c) == decide_constrained_existence(g, c).answer
+                assert any(map(c.admits, outcomes)) == decide_constrained_existence(g, c).answer
+
+    def test_outcomes_are_the_solver_profiles(self):
+        # the whole set, not only its answer to each constraint: exactly the
+        # profiles for which the solver finds a consistent play from x0
+        for g in random_games(30, seed=103):
+            a = analyze(g)
+            xg = a.extended_game
+            found = {
+                GainProfile(m, g.n_players)
+                for m in xg.layers
+                if exists_consistent_play(xg, a.lambda_star, xg.x0, GainProfile(m, g.n_players))
+                is not None
+            }
+            assert oracle_outcomes(xg) == found
+
+    def test_leaves_the_game_view_unbuilt(self):
+        # the oracle reads the extended adjacency, as the solver does
+        for g in random_games(20, seed=67):
+            xg = build_extended_game(g)
+            oracle_outcomes(xg)
+            oracle_lambda_star(xg)
+            assert "game" not in xg.__dict__
 
 
 class TestOracleSelfConsistency:
@@ -131,9 +165,10 @@ class TestOracleSelfConsistency:
         for g in random_games(12, seed=101, max_vertices=3, max_players=2):
             xg = build_extended_game(g)
             lam = oracle_lambda_star(xg)
+            outcomes = oracle_outcomes(xg)
             n = xg.game.n_vertices
             for c in all_constraints(g.n_players):
-                assert oracle_decide(g, c) == _decide_by_full_enumeration(
+                assert any(map(c.admits, outcomes)) == _decide_by_full_enumeration(
                     xg, lam, c, n + 2, n + 1
                 )
 

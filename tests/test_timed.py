@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spe_reach.errors import DeadlockedRegionError, InputError, SizeCapError
+from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import decide_constrained_existence
 from spe_reach.game import ConstraintProfile, validate_game
-from spe_reach.oracle import oracle_decide
+from spe_reach.oracle import oracle_outcomes
 from spe_reach.timed import (
     ClockRegion,
     GuardAtom,
@@ -336,8 +337,9 @@ class TestBuildRegionGame:
         assert not decide_constrained_existence(rg.game, lose).answer
         # the builder fills the edge rows and the solver reads only those
         assert "edges" not in rg.game.__dict__
-        assert oracle_decide(rg.game, win)
-        assert not oracle_decide(rg.game, lose)
+        outcomes = oracle_outcomes(build_extended_game(rg.game))
+        assert any(map(win.admits, outcomes))
+        assert not any(map(lose.admits, outcomes))
 
     def test_deadlocked_region_reported(self):
         a = PPTA(
