@@ -59,6 +59,16 @@ def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--witness", action="store_true", help="print a witness lasso")
+    parser.add_argument(
+        "--lambda", dest="show_lambda", action="store_true", help="print the labeling fixpoint"
+    )
+    parser.add_argument(
+        "--oracle", action="store_true", help="cross-check with the brute-force oracle"
+    )
+
+
 def _parse_constraint(tokens: Sequence[str], n_players: int) -> ConstraintProfile:
     words = ["any"] * n_players
     for token in tokens:
@@ -198,25 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="decide an explicit finite game")
     solve.add_argument("game", help="finite game JSON file")
     _add_constraint_flags(solve)
-    solve.add_argument("--witness", action="store_true", help="print a witness lasso")
-    solve.add_argument(
-        "--lambda", dest="show_lambda", action="store_true", help="print the labeling fixpoint"
-    )
-    solve.add_argument(
-        "--oracle", action="store_true", help="cross-check with the brute-force oracle"
-    )
+    _add_output_flags(solve)
     solve.set_defaults(run=_cmd_solve)
 
     timed = sub.add_parser("solve-timed", help="decide a timed automaton via its region game")
     timed.add_argument("automaton", help="timed automaton JSON file")
     _add_constraint_flags(timed)
-    timed.add_argument("--witness", action="store_true", help="print a witness lasso")
-    timed.add_argument(
-        "--lambda", dest="show_lambda", action="store_true", help="print the labeling fixpoint"
-    )
-    timed.add_argument(
-        "--oracle", action="store_true", help="cross-check with the brute-force oracle"
-    )
+    _add_output_flags(timed)
     timed.add_argument(
         "--regions", action="store_true", help="also print the region game as JSON"
     )

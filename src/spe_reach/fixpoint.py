@@ -5,11 +5,14 @@ by player i means: any equilibrium play passing through that vertex must let
 player i win from there on. Labels start at all zeros; each Jacobi step
 raises v to 1 when every choice at v leads where all plays consistent with
 the current labels make the owner win, and k* counts the steps that change
-a label. A step visits only the satisfied sets that occur, each restricted
-to its down-set, and folds all gain profiles into one per-vertex bitmask.
+a label. A play with gain m ends in layer m (satisfied set m) and stays in
+its down-set, so both the step and the witness search start from one
+routine, :func:`_core`, which prunes layer m to the vertices a consistent
+play can stay on forever. A step searches backward from the core of each
+occurring layer and folds all gain profiles into one per-vertex bitmask.
 At the fixpoint a play is an equilibrium outcome iff it is consistent with
-the labels, so constrained existence reduces to searching for one consistent
-lasso per admissible gain profile.
+the labels, so constrained existence reduces to a forward search for one
+consistent lasso per admissible gain profile.
 
 The extended game and the fixpoint depend on the game alone, so
 :func:`analyze` validates the game and computes them once per game (and
@@ -36,41 +39,37 @@ def initial_labeling(xg: ExtendedGame) -> Labeling:
     return (0,) * xg.n_vertices
 
 
-def _surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
-    """Vertices usable by a consistent play whose losers are outside win_mask.
+def _core(xg: ExtendedGame, lam: Labeling, m: int, mark: list[int], out: list[int]) -> list[int]:
+    """The vertices of layer m from which a play can stay in it forever.
 
-    Only the down-set of win_mask is a candidate: a vertex where a supposed
-    loser is already satisfied is never alive. Of those, vertices owned by a
-    loser but labeled 1 are deleted, and then iteratively everything left
-    without a successor, so any surviving vertex can continue forever. The
-    result is the greatest such set, so the visiting order does not matter.
+    Starts from the layer, drops every vertex owned by a loser (a player
+    outside m) and labeled 1, then repeatedly every vertex left without a
+    successor in the set; the result is the greatest such set, so the order
+    of removal does not matter. Sets ``mark[v] = m`` on exactly the returned
+    vertices; ``out`` is scratch space for successor counts. Neither list may
+    hold m on entry.
     """
-    n = xg.n_vertices
-    lose_mask = ((1 << xg.n_players) - 1) ^ win_mask
     owner, succ, pred = xg.owner, xg.successors, xg.predecessors
-    alive = [False] * n
-    candidates: list[int] = []
-    for m, layer in xg.layers.items():
-        if not m & lose_mask:
-            for v in layer:
-                if not (lam[v] and (lose_mask >> owner[v]) & 1):
-                    alive[v] = True
-                    candidates.append(v)
-    out = [0] * n
-    dead: deque[int] = deque()
-    for v in candidates:
-        out[v] = sum(map(alive.__getitem__, succ[v]))
-        if out[v] == 0:
-            dead.append(v)
+    lose = ((1 << xg.n_players) - 1) ^ m
+    core = [v for v in xg.layers.get(m, ()) if not (lam[v] and lose >> owner[v] & 1)]
+    for v in core:
+        mark[v] = m
+    for v in core:
+        count = 0
+        for w in succ[v]:
+            if mark[w] == m:
+                count += 1
+        out[v] = count
+    dead = [v for v in core if not out[v]]
     while dead:
-        v = dead.popleft()
-        alive[v] = False
+        v = dead.pop()
+        mark[v] = -1
         for u in pred[v]:
-            if alive[u]:
+            if mark[u] == m:
                 out[u] -= 1
-                if out[u] == 0:
+                if not out[u]:
                     dead.append(u)
-    return alive
+    return [v for v in core if mark[v] == m]
 
 
 def exists_consistent_play(
@@ -78,12 +77,13 @@ def exists_consistent_play(
 ) -> LassoPlay | None:
     """Find a lam-consistent lasso from start with gain profile exactly p.
 
-    Works on the pruned graph of :func:`_surviving`: winners need no check
-    beyond reaching a vertex whose satisfied set equals the winner set,
-    because suffix gains of a winning player hold at every position; for
-    losers the pruning enforces both gain 0 and the label constraint. The
-    witness is deterministic: shortest path to the first such vertex, then
-    the first cycle along least-index successors.
+    Such a play ends in the :func:`_core` of layer p (satisfied set p) and
+    never leaves the down-set of p, so the core is pruned once and a forward
+    search from start walks the usable vertices: those whose satisfied set
+    lies within p and that are no loser's label-1 vertex. Winners need no
+    further check, because suffix gains of a winning player hold at every
+    position. The witness is deterministic: shortest path to the first core
+    vertex found, then the first cycle along least-index core successors.
     """
     n = xg.n_vertices
     if not 0 <= start < n:
@@ -92,24 +92,28 @@ def exists_consistent_play(
         raise ValueError("labeling must be total over the extended vertices")
     if p.n != xg.n_players:
         raise ValueError("gain profile does not match the player count")
-    alive = _surviving(xg, lam, p.mask)
-    if not alive[start]:
+    m = p.mask
+    lose = ((1 << xg.n_players) - 1) ^ m
+    sat, owner, succ = xg.satisfied, xg.owner, xg.successors
+    if sat[start] & lose or lam[start] and lose >> owner[start] & 1:
         return None
-    sat = xg.satisfied
-    succ = xg.successors
-    goal: int | None = start if sat[start] == p.mask else None
+    mark = [-1] * n
+    if not _core(xg, lam, m, mark, [0] * n):
+        return None
+    goal: int | None = start if mark[start] == m else None
     parent: dict[int, int | None] = {start: None}
     if goal is None:
         queue: deque[int] = deque([start])
         while queue and goal is None:
             v = queue.popleft()
             for w in succ[v]:
-                if alive[w] and w not in parent:
-                    parent[w] = v
-                    if sat[w] == p.mask:
-                        goal = w
-                        break
-                    queue.append(w)
+                if w in parent or sat[w] & lose or lam[w] and lose >> owner[w] & 1:
+                    continue
+                parent[w] = v
+                if mark[w] == m:
+                    goal = w
+                    break
+                queue.append(w)
     if goal is None:
         return None
     path = [goal]
@@ -120,7 +124,7 @@ def exists_consistent_play(
     position = {goal: 0}
     while True:
         cur = walk[-1]
-        nxt = next(w for w in succ[cur] if alive[w])
+        nxt = next(w for w in succ[cur] if mark[w] == m)
         j = position.get(nxt)
         if j is not None:
             return LassoPlay(tuple(path[:-1] + walk[:j]), tuple(walk[j:]))
@@ -134,42 +138,27 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     A vertex owned by player i gets 1 iff some successor starts no
     lam-consistent play that i loses. Such a play with gain m ends in layer
     m (satisfied set m) and stays in its down-set. So per occurring m, layer
-    m alone is pruned to the core that can stay in it with no loser (player
-    outside m) owning a label-1 vertex; a backward search from the core,
-    skipping such label-1 vertices, ORs the losers into ``canlose`` of each
-    vertex it reaches. A vertex looping only in a lower layer is not reached.
+    m alone is pruned to its :func:`_core`; a backward search from the core,
+    skipping every loser's label-1 vertex, ORs the losers (players outside
+    m) into ``canlose`` of each vertex it reaches. A vertex looping only in a
+    lower layer is not reached.
     """
     n = len(lam)
     owner, succ, pred = xg.owner, xg.successors, xg.predecessors
     full = (1 << xg.n_players) - 1
-    blocked = [label << i for label, i in zip(lam, owner)]  # the owner bit if labeled 1
-    # mark[v] == m: v is in the core of layer m, and after pruning, v reaches it
+    # mark[v] == m: v is in the core of layer m, or the search from it reached v
     mark, out, canlose = [-1] * n, [0] * n, [0] * n
-    for m, layer in xg.layers.items():
+    for m in xg.layers:
         lose = full ^ m
         if not lose:
             continue  # nobody can lose a play of gain "all": the search would OR in 0
-        core = [v for v in layer if not blocked[v] & lose]
-        for v in core:
-            mark[v] = m
-        for v in core:
-            out[v] = [mark[w] for w in succ[v]].count(m)
-        dead = [v for v in core if not out[v]]
-        while dead:
-            v = dead.pop()
-            mark[v] = -1
-            for u in pred[v]:
-                if mark[u] == m:
-                    out[u] -= 1
-                    if not out[u]:
-                        dead.append(u)
+        stack = _core(xg, lam, m, mark, out)
         # predecessors never gain satisfied players, so this stays in the down-set
-        stack = [v for v in core if mark[v] == m]
         while stack:
             v = stack.pop()
             canlose[v] |= lose
             for u in pred[v]:
-                if mark[u] != m and not blocked[u] & lose:
+                if mark[u] != m and not (lam[u] and lose >> owner[u] & 1):
                     mark[u] = m
                     stack.append(u)
     return tuple(int(any(not canlose[w] >> i & 1 for w in ws)) for ws, i in zip(succ, owner))

@@ -1,13 +1,13 @@
-"""Test-only reference for the labeling step.
+"""Test-only references for the labeling step and the witness search.
 
-This is the direct reading of the recurrence that ``spe_reach.fixpoint``
-computes layer by layer: for every gain profile, prune the whole extended
-game with ``_surviving`` and search backward from the vertices whose
-satisfied set is exactly that profile; then take, per (vertex, successor),
-the minimum over profiles through those source sets. It is slow on
-purpose and shares no code with the layered step, so tests can compare
-the two. ``reference_surviving`` is the full-scan form of the pruning that
-``spe_reach.fixpoint._surviving`` confines to a profile's down-set.
+These are the direct readings of what ``spe_reach.fixpoint`` computes from
+the core of one layer at a time. ``reference_surviving`` prunes the whole
+extended game for one gain profile. ``reference_lambda_step`` searches
+backward from the surviving vertices whose satisfied set is exactly each
+profile, then takes, per (vertex, successor), the minimum over profiles
+through those source sets. ``reference_consistent_play`` searches forward
+over the surviving vertices for the solver's witness lasso. They are slow
+on purpose and share no code with ``src/``, so tests can compare the two.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import deque
 
 from spe_reach.extended import ExtendedGame
 from spe_reach.fixpoint import Labeling
+from spe_reach.game import GainProfile
 
 
 def reference_surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[bool]:
@@ -51,6 +52,47 @@ def reference_surviving(xg: ExtendedGame, lam: Labeling, win_mask: int) -> list[
                 if out[u] == 0:
                     dead.append(u)
     return alive
+
+
+def reference_consistent_play(
+    xg: ExtendedGame, lam: Labeling, start: int, p: GainProfile
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The (prefix, cycle) of the lam-consistent lasso from start with gain p
+    that the solver must return, or None if there is none.
+
+    Breadth-first over the surviving vertices, in successor order, to the
+    first one whose satisfied set is exactly p; then along least-index
+    surviving successors until a vertex repeats, which closes the cycle.
+    """
+    alive = reference_surviving(xg, lam, p.mask)
+    if not alive[start]:
+        return None
+    sat, succ = xg.satisfied, xg.successors
+    parent: dict[int, int | None] = {start: None}
+    queue: deque[int] = deque([start])
+    while queue:
+        goal = queue.popleft()
+        if sat[goal] == p.mask:
+            break
+        for w in succ[goal]:
+            if alive[w] and w not in parent:
+                parent[w] = goal
+                queue.append(w)
+    else:
+        return None
+    path: list[int] = []
+    v: int | None = goal
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    path.reverse()
+    walk = [goal]
+    while True:
+        nxt = min(w for w in succ[walk[-1]] if alive[w])
+        if nxt in walk:
+            j = walk.index(nxt)
+            return tuple(path[:-1] + walk[:j]), tuple(walk[j:])
+        walk.append(nxt)
 
 
 def reference_sources(xg: ExtendedGame, lam: Labeling, mask: int) -> list[bool]:

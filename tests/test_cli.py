@@ -567,3 +567,37 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 0
         assert err == b""
         assert first == (b"YES\n" if command == "solve" else b"{\n")
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps solver functions by module attribute and
+    skips any it cannot find, so a renamed entry point would read 0 there
+    instead of failing; every layer it wraps must still show up."""
+
+    LAYERS = {
+        "jsonio.load", "game.validate", "extended.build",
+        "fixpoint.lambda", "fixpoint.witness", "fixpoint.decide",
+    }
+
+    @pytest.mark.parametrize(
+        "command, fixture, flags, extra",
+        [
+            ("solve", "fork_file", ["--witness", "--lambda"], set()),
+            ("solve-timed", "one_clock_file", ["--witness"], {"timed.region_build"}),
+        ],
+    )
+    def test_every_layer_is_traced(self, command, fixture, flags, extra, request, tmp_path):
+        src = Path(spe_reach.__file__).parent.parent
+        child = src.parent / "perfbench" / "child.py"
+        trace = tmp_path / "trace.json"
+        run = subprocess.run(
+            [sys.executable, str(child), "cli", str(trace), "--",
+             command, request.getfixturevalue(fixture), *flags],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == "YES"
+        data = json.loads(trace.read_text(encoding="utf-8"))
+        assert {span[0] for span in data["spans"]} >= self.LAYERS | extra
+        assert data["counts"]["fixpoint.lambda_steps"] >= 1
+        assert data["counts"]["fixpoint.profiles_tried"] >= 1

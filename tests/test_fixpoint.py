@@ -10,7 +10,6 @@ from spe_reach.errors import InputError, SizeCapError
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
     _analysis,
-    _surviving,
     analyze,
     compute_lambda_star,
     decide_constrained_existence,
@@ -22,7 +21,12 @@ from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 
 from generators import all_constraints, game_from_successors, random_games
 from lassos import gain_of_lasso, is_consistent
-from reference_fixpoint import reference_lambda_step, reference_sources, reference_surviving
+from reference_fixpoint import (
+    reference_consistent_play,
+    reference_lambda_step,
+    reference_sources,
+    reference_surviving,
+)
 
 
 @pytest.fixture
@@ -32,6 +36,12 @@ def fork_ext(fork_game):
 
 def _ext_index(xg, base_vertex, mask):
     return xg.index[(base_vertex, mask)]
+
+
+def _play(xg, lam, start, mask):
+    """exists_consistent_play as the (prefix, cycle) pair the reference returns."""
+    rho = exists_consistent_play(xg, lam, start, GainProfile(mask, xg.n_players))
+    return None if rho is None else (rho.prefix, rho.cycle)
 
 
 class TestIsConsistent:
@@ -197,8 +207,9 @@ class TestLayeredStepMatchesReference:
         a, w, u = (_ext_index(xg, v, 0) for v in (1, 2, 3))
         lam = tuple(int(x == u) for x in range(xg.game.n_vertices))
         m = 0b10
-        assert _surviving(xg, lam, m)[w]
+        assert reference_surviving(xg, lam, m)[w]
         assert not reference_sources(xg, lam, m)[w]
+        assert exists_consistent_play(xg, lam, w, GainProfile(m, 2)) is None
         # counting W as a start of gain {1} would let player 0 lose from A's
         # only successor and keep A at 0
         new = lambda_step(xg, lam)
@@ -227,20 +238,29 @@ class TestLayeredStepMatchesReference:
             nxt = lambda_step(xg, lam)
             assert nxt == reference_lambda_step(xg, lam)
             for m in range(4):
-                assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+                for v in range(xg.n_vertices):
+                    assert _play(xg, lam, v, m) == reference_consistent_play(
+                        xg, lam, v, GainProfile(m, 2)
+                    )
             if nxt == lam:
                 break
             lam = nxt
 
 
-class TestSurvivingMatchesReference:
+def _assert_plays_match_reference(xg, lam):
+    for m in range(1 << xg.n_players):
+        p = GainProfile(m, xg.n_players)
+        for v in range(xg.n_vertices):
+            assert _play(xg, lam, v, m) == reference_consistent_play(xg, lam, v, p)
+
+
+class TestConsistentPlayMatchesReference:
     def test_every_mask_of_the_chain_on_random_games(self):
         for g in random_games(150, seed=79, max_vertices=12, max_players=4, max_ext_vertices=400):
             xg = build_extended_game(g)
             lam = initial_labeling(xg)
             while True:
-                for m in xg.layers:
-                    assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+                _assert_plays_match_reference(xg, lam)
                 nxt = lambda_step(xg, lam)
                 if nxt == lam:
                     break
@@ -249,9 +269,7 @@ class TestSurvivingMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(labeled_games())
     def test_any_labeling_of_small_games(self, case):
-        xg, lam = case
-        for m in range(1 << xg.n_players):
-            assert _surviving(xg, lam, m) == reference_surviving(xg, lam, m)
+        _assert_plays_match_reference(*case)
 
 
 class TestComputeLambdaStar:
