@@ -17,6 +17,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError, SizeCapError
+from .extended import set_name
 from .fixpoint import Decision, decide_constrained_existence
 from .game import ConstraintProfile, FiniteGame
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
@@ -99,19 +100,22 @@ def _print_witness(decision: Decision) -> None:
             print("  (empty)")
         for x in vertices:
             base, sat = xg.origin[x]
-            players = ",".join(str(i) for i in range(xg.n_players) if (sat >> i) & 1)
-            print(f"  {names[base]}  {{{players}}}")
+            print(f"  {names[base]}  {set_name(sat)}")
 
     rows("prefix", decision.witness.extended.prefix)
     rows("cycle", decision.witness.extended.cycle)
 
 
 def _print_labeling(decision: Decision) -> None:
+    # each row spells xg.vertex_name(x), from one name per occurring satisfied set
     xg = decision.extended_game
-    print("labeling fixpoint:")
-    for x, label in enumerate(decision.lambda_star):
-        print(f"  {xg.vertex_name(x)}  {label}")
-    print(f"iterations to fixpoint: {decision.k_star}")
+    names = xg.base.vertex_names
+    sets = {sat: set_name(sat) for sat in xg.layers}
+    rows = "".join(
+        f"  {names[v]}|{sets[sat]}  {label}\n"
+        for (v, sat), label in zip(xg.origin, decision.lambda_star)
+    )
+    sys.stdout.write(f"labeling fixpoint:\n{rows}iterations to fixpoint: {decision.k_star}\n")
 
 
 def _print_oracle_line(c: ConstraintProfile, decision: Decision) -> None:

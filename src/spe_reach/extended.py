@@ -15,20 +15,20 @@ which dumps, tools and tests use; the oracle reads the adjacency too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import InputError, SizeCapError
 from .game import FiniteGame, LassoPlay, validate_game
 
 
-def _set_name(mask: int) -> str:
+def set_name(mask: int) -> str:
+    """The display name ``{i,j}`` of a satisfied-players mask."""
     players = [str(i) for i in range(mask.bit_length()) if (mask >> i) & 1]
     return "{" + ",".join(players) + "}"
 
 
-@dataclass(frozen=True)
-class ExtendedGame:
+class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors predecessors")):
     """Reachable satisfied-set product of a finite reachability game.
 
     ``origin[x]`` gives the (base vertex, satisfied players mask) pair behind
@@ -36,14 +36,18 @@ class ExtendedGame:
     belongs to player i's target set exactly when i is in its satisfied
     mask. ``owner``, ``successors`` and ``predecessors`` are derived from
     base and origin, so equality and hashing look at those two only; both
-    adjacency tuples list each neighbour once, ascending.
+    adjacency tuples list each neighbour once, ascending. The cached views
+    keep an instance ``__dict__``, so this record has no ``__slots__``.
     """
 
-    base: FiniteGame
-    origin: tuple[tuple[int, int], ...]
-    owner: tuple[int, ...] = field(compare=False, repr=False)
-    successors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    predecessors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:2] == other[:2]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def n_vertices(self) -> int:
@@ -80,7 +84,7 @@ class ExtendedGame:
     def vertex_name(self, x: int) -> str:
         """The display name ``base|{i,j}`` of extended vertex x."""
         v, sat = self.origin[x]
-        return f"{self.base.vertex_names[v]}|{_set_name(sat)}"
+        return f"{self.base.vertex_names[v]}|{set_name(sat)}"
 
     @cached_property
     def game(self) -> FiniteGame:

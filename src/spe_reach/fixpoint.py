@@ -24,8 +24,8 @@ each search confined to the down-set of its gain profile.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError
 from .extended import ExtendedGame, build_extended_game
@@ -180,8 +180,7 @@ def compute_lambda_star(xg: ExtendedGame) -> tuple[Labeling, int]:
         k += 1
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A lasso realizing the decided gain profile, in both coordinate systems."""
 
     gain: GainProfile
@@ -189,8 +188,7 @@ class Witness:
     base: LassoPlay
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of the constrained-existence decision.
 
     On a yes answer the witness is present, its gain lies within the
@@ -206,8 +204,7 @@ class Decision:
     extended_game: ExtendedGame
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """What a game's decisions share: its extended game and labeling fixpoint."""
 
     extended_game: ExtendedGame

@@ -9,29 +9,30 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class GainProfile:
-    """One win/lose bit per player, packed into an integer mask.
+class GainProfile(namedtuple("GainProfile", "mask n")):
+    """One win/lose bit per player, packed into an integer ``mask`` over ``n`` players.
 
     Bit i is 1 when player i wins. Profiles over the same player count are
-    partially ordered pointwise via ``<=``.
+    partially ordered pointwise via ``<=`` (and ``>=``, its reflection).
     """
 
-    mask: int
-    n: int
+    __slots__ = ()
+    # namedtuple's _make (and so _replace) skips __new__; this one checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __new__(cls, mask: int, n: int) -> "GainProfile":
+        if n < 0:
             raise ValueError("player count must be nonnegative")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for {self.n} players")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask} out of range for {n} players")
+        return super().__new__(cls, mask, n)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "GainProfile":
@@ -58,22 +59,26 @@ class GainProfile:
             raise ValueError("cannot compare profiles over different player counts")
         return self.mask | other.mask == other.mask
 
+    # the tuple base would order lexicographically; these answer NotImplemented
+    # instead, so >= falls back to the reflected <= and < or > raise TypeError
+    __lt__, __gt__, __ge__ = object.__lt__, object.__gt__, object.__ge__
+
     def __str__(self) -> str:
         return "(" + ",".join(str(b) for b in self.bits) + ")"
 
 
-@dataclass(frozen=True)
-class ConstraintProfile:
+class ConstraintProfile(namedtuple("ConstraintProfile", "lower upper")):
     """Lower and upper gain bounds for the constrained existence problem."""
 
-    lower: GainProfile
-    upper: GainProfile
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.lower.n != self.upper.n:
+    def __new__(cls, lower: GainProfile, upper: GainProfile) -> "ConstraintProfile":
+        if lower.n != upper.n:
             raise ValueError("constraint bounds must cover the same players")
-        if not self.lower <= self.upper:
+        if not lower <= upper:
             raise ValueError("constraint lower bound exceeds upper bound")
+        return super().__new__(cls, lower, upper)
 
     @property
     def n(self) -> int:
@@ -98,8 +103,9 @@ class ConstraintProfile:
         return self.lower <= p and p <= self.upper
 
 
-@dataclass(frozen=True)
-class FiniteGame:
+class FiniteGame(namedtuple(
+    "FiniteGame", "n_players alphabet vertex_names out_edges owner targets initial"
+)):
     """Explicit turn-based arena with per-player reachability targets.
 
     Every vertex is owned by exactly one player, who chooses the outgoing
@@ -110,29 +116,21 @@ class FiniteGame:
     ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
     leaving v, in declaration order, each pair once. Every builder fills
     these rows directly; ``edges``, ``successors``, ``predecessors`` and
-    ``target_mask`` are views derived from them on first access.
+    ``target_mask`` are views derived from them on first access. ``owner[v]``
+    is a player index and ``targets`` holds frozensets of vertex ids. The
+    views and the memoized hash keep an instance ``__dict__``, so this
+    record has no ``__slots__``.
     """
-
-    n_players: int
-    alphabet: tuple[str, ...]
-    vertex_names: tuple[str, ...]
-    out_edges: tuple[tuple[tuple[str, int], ...], ...]
-    owner: tuple[int, ...]
-    targets: tuple[frozenset[int], ...]
-    initial: int
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_names)
 
     def __hash__(self) -> int:
-        # the fields the generated __eq__ compares, hashed once per instance
+        # the tuple hash of the fields, computed once per instance
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash((
-                self.n_players, self.alphabet, self.vertex_names, self.out_edges,
-                self.owner, self.targets, self.initial,
-            ))
+            h = self.__dict__["_hash"] = tuple.__hash__(self)
         return h
 
     def __getstate__(self) -> dict:
@@ -279,20 +277,21 @@ def validate_game(g: FiniteGame) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class LassoPlay:
+class LassoPlay(namedtuple("LassoPlay", "prefix cycle")):
     """Finite presentation of the infinite play prefix . cycle^omega.
 
     The prefix may be empty; the cycle is repeated forever, so the set of
-    vertices the play visits is exactly prefix union cycle.
+    vertices the play visits is exactly prefix union cycle. Both are tuples
+    of vertex ids.
     """
 
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not self.cycle:
+    def __new__(cls, prefix: tuple[int, ...], cycle: tuple[int, ...]) -> "LassoPlay":
+        if not cycle:
             raise ValueError("lasso cycle must be nonempty")
+        return super().__new__(cls, prefix, cycle)
 
     @property
     def start(self) -> int:

@@ -19,9 +19,9 @@ pair and delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DeadlockedRegionError, InputError, SizeCapError
 from .game import FiniteGame
@@ -29,28 +29,27 @@ from .game import FiniteGame
 COMPARATORS = ("le", "lt", "eq", "gt", "ge")
 
 
-@dataclass(frozen=True)
-class GuardAtom:
+class GuardAtom(namedtuple("GuardAtom", "clock op const")):
     """A single comparison ``clock <op> const`` with a natural constant."""
 
-    clock: int
-    op: str
-    const: int
+    __slots__ = ()
+    # namedtuple's _make (and so _replace) skips __new__; this one checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.op not in COMPARATORS:
-            raise ValueError(f"unknown comparator {self.op!r}")
-        if not isinstance(self.const, int) or isinstance(self.const, bool) or self.const < 0:
-            raise ValueError(f"guard constant must be a natural number, got {self.const!r}")
-        if self.clock < 0:
+    def __new__(cls, clock: int, op: str, const: int) -> "GuardAtom":
+        if op not in COMPARATORS:
+            raise ValueError(f"unknown comparator {op!r}")
+        if not isinstance(const, int) or isinstance(const, bool) or const < 0:
+            raise ValueError(f"guard constant must be a natural number, got {const!r}")
+        if clock < 0:
             raise ValueError("clock index must be nonnegative")
+        return super().__new__(cls, clock, op, const)
 
 
 Guard = tuple[GuardAtom, ...]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     letter: str
     guard: Guard
@@ -58,22 +57,19 @@ class Transition:
     target: int
 
 
-@dataclass(frozen=True)
-class PPTA:
+class PPTA(namedtuple(
+    "PPTA",
+    "n_players alphabet clock_names location_names owners transitions goals initial",
+)):
     """Timed automaton whose locations are partitioned among players.
 
     Each player optionally carries a set of goal locations; the induced
-    timed game is then a reachability game.
+    timed game is then a reachability game. The alphabet and the names are
+    tuples of strings, ``owners[l]`` is a player index, ``goals`` holds one
+    frozenset of location ids per player and ``initial`` is a location id.
+    The cached views keep an instance ``__dict__``, so this record has no
+    ``__slots__``.
     """
-
-    n_players: int
-    alphabet: tuple[str, ...]
-    clock_names: tuple[str, ...]
-    location_names: tuple[str, ...]
-    owners: tuple[int, ...]
-    transitions: tuple[Transition, ...]
-    goals: tuple[frozenset[int], ...]
-    initial: int
 
     @property
     def n_clocks(self) -> int:
@@ -136,39 +132,40 @@ def validate_ppta(a: PPTA) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class ClockRegion:
+class ClockRegion(namedtuple("ClockRegion", "maxima clipped frac_order")):
     """Canonical cell of the clock abstraction.
 
+    ``maxima[c]`` is the largest constant clock c is compared against.
     ``clipped[c]`` is None when clock c exceeds its maximum, otherwise an
     (integer part, fraction-is-zero) pair; ``frac_order`` groups the clocks
-    with equal nonzero fractional parts, smallest fraction first. Regions
-    are value objects: equality of canonical forms is region equivalence.
+    with equal nonzero fractional parts, smallest fraction first, as a
+    tuple of frozensets. Regions are value objects: equality of canonical
+    forms is region equivalence.
     """
 
-    maxima: tuple[int, ...]
-    clipped: tuple[tuple[int, bool] | None, ...]
-    frac_order: tuple[frozenset[int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(self.clipped) != len(self.maxima):
+    def __new__(cls, maxima, clipped, frac_order) -> "ClockRegion":
+        if len(clipped) != len(maxima):
             raise ValueError("clipped entries must match the clock count")
         fractional = set()
-        for c, info in enumerate(self.clipped):
+        for c, info in enumerate(clipped):
             if info is None:
                 continue
             ip, zero = info
-            if not 0 <= ip <= self.maxima[c]:
-                raise ValueError(f"clock {c}: integer part {ip} outside [0, {self.maxima[c]}]")
-            if ip == self.maxima[c] and not zero:
+            if not 0 <= ip <= maxima[c]:
+                raise ValueError(f"clock {c}: integer part {ip} outside [0, {maxima[c]}]")
+            if ip == maxima[c] and not zero:
                 raise ValueError(f"clock {c}: values above the maximum must be Beyond")
             if not zero:
                 fractional.add(c)
-        listed = [c for group in self.frac_order for c in group]
-        if any(not group for group in self.frac_order):
+        listed = [c for group in frac_order for c in group]
+        if any(not group for group in frac_order):
             raise ValueError("fractional order must not contain empty groups")
         if len(listed) != len(set(listed)) or set(listed) != fractional:
             raise ValueError("fractional order must list each nonzero-fraction clock once")
+        return super().__new__(cls, maxima, clipped, frac_order)
 
     @classmethod
     def zero(cls, maxima: Sequence[int]) -> "ClockRegion":
@@ -281,8 +278,7 @@ def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
 _Move = tuple[str, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class RegionGame:
+class RegionGame(NamedTuple):
     """Finite game over the reachable (location, region) pairs of a PPTA."""
 
     game: FiniteGame

@@ -12,9 +12,12 @@ from spe_reach import cli
 from spe_reach.cli import main
 from spe_reach.errors import InputError
 from spe_reach.extended import build_extended_game
+from spe_reach.fixpoint import analyze
 from spe_reach.game import ConstraintProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
 from spe_reach.oracle import oracle_outcomes
+
+from generators import random_games
 
 FORK_GAME = {
     "players": 1,
@@ -240,6 +243,19 @@ class TestSolveCommand:
         assert "A|{}  1" in out
         assert "C|{}  0" in out
 
+    def test_lambda_rows_spell_the_vertex_names(self, tmp_path, capsys):
+        games = [g for g in random_games(40, seed=23, max_players=4) if g.n_players >= 3]
+        assert len(games) >= 10
+        for i, g in enumerate(games):
+            path = tmp_path / f"g{i}.json"
+            path.write_text(json.dumps(dump_finite_game(g)), encoding="utf-8")
+            main(["solve", str(path), "--lambda"])
+            a = analyze(g)
+            xg = a.extended_game
+            rows = [f"  {xg.vertex_name(x)}  {label}" for x, label in enumerate(a.lambda_star)]
+            expected = ["labeling fixpoint:", *rows, f"iterations to fixpoint: {a.k_star}"]
+            assert capsys.readouterr().out.splitlines()[1:] == expected
+
     def test_oracle_agreement(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "0=win", "--oracle"]) == 0
         assert "oracle: AGREE" in capsys.readouterr().out
@@ -288,16 +304,21 @@ class TestSolveCommand:
     def test_import_leaves_out_test_helpers(self):
         # the concrete-valuation helpers live in the tests, and the oracle
         # and timed modules are loaded only on demand; importing the CLI
-        # must pull in none of them, which would add to every solve
+        # must pull in none of them, which would add to every solve. The
+        # records are tuples, so dataclasses (and the inspect module it
+        # loads) stays out of solve and solve-timed alike
         src = Path(spe_reach.__file__).parent.parent
-        modules = ("fractions", "spe_reach.oracle", "spe_reach.timed")
-        code = f"import spe_reach.cli, sys; print([m in sys.modules for m in {modules!r}])"
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[False, False, False]"
+        for module, absent in (
+            ("spe_reach.cli", ("fractions", "spe_reach.oracle", "spe_reach.timed", "dataclasses", "inspect")),
+            ("spe_reach.timed", ("fractions", "spe_reach.oracle", "dataclasses", "inspect")),
+        ):
+            code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+            )
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.strip() == "[]", module
 
     def test_leaves_the_game_view_unbuilt(self, fork_file, monkeypatch, capsys):
         decisions = []

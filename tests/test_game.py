@@ -1,3 +1,4 @@
+import operator
 import pickle
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from spe_reach import fixpoint
 from spe_reach.errors import InputError
+from spe_reach.extended import ExtendedGame
 from spe_reach.game import (
     ConstraintProfile,
     FiniteGame,
@@ -251,6 +253,88 @@ class TestGameHash:
         copy = pickle.loads(pickle.dumps(chain_game))
         assert "_hash" not in copy.__dict__
         assert copy == chain_game and hash(copy) == hash(chain_game)
+
+
+def _solver_records(g):
+    """Every record the solver hands out for g, each with one of its fields."""
+    a = fixpoint.analyze(g)
+    d = a.decide(ConstraintProfile.from_words(["any"] * g.n_players))
+    assert d.answer
+    return [
+        (g, "initial"), (a, "k_star"), (d, "answer"), (d.witness, "gain"),
+        (d.witness.gain, "mask"), (d.witness.extended, "cycle"), (a.extended_game, "origin"),
+        (ConstraintProfile.from_words(["win"] * g.n_players), "lower"),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GainProfile(0, -1), "player count must be nonnegative"),
+        (lambda: GainProfile(mask=4, n=2), "mask 4 out of range for 2 players"),
+        (lambda: GainProfile(-1, 2), "mask -1 out of range for 2 players"),
+        (lambda: ConstraintProfile(GainProfile(0, 1), GainProfile(0, 2)), "must cover the same players"),
+        (lambda: ConstraintProfile(GainProfile(1, 1), GainProfile(0, 1)), "lower bound exceeds upper bound"),
+        (lambda: LassoPlay(prefix=(0,), cycle=()), "lasso cycle must be nonempty"),
+        (lambda: GainProfile(1, 2)._replace(mask=4), "mask 4 out of range for 2 players"),
+        (lambda: ConstraintProfile.from_words(["any"])._replace(lower=GainProfile(1, 1), upper=GainProfile(0, 1)),
+         "lower bound exceeds upper bound"),
+        (lambda: LassoPlay((0,), (1,))._replace(cycle=()), "lasso cycle must be nonempty"),
+    ])
+    def test_bad_values_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_keyword_construction(self, chain_game):
+        assert GainProfile(mask=2, n=2) == GainProfile(2, 2)
+        low, high = GainProfile(0, 1), GainProfile(1, 1)
+        assert ConstraintProfile(lower=low, upper=high) == ConstraintProfile(low, high)
+        assert LassoPlay(prefix=(), cycle=(1,)).start == 1
+        g = FiniteGame(
+            n_players=1, alphabet=("a",), vertex_names=("A", "B"),
+            out_edges=((("a", 1),), (("a", 1),)), owner=(0, 0), targets=(frozenset({1}),), initial=0,
+        )
+        assert g == chain_game and g.successors == ((1,), (1,))
+
+    def test_fields_cannot_be_assigned(self, fork_game):
+        for record, field in _solver_records(fork_game):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_values_compare_and_hash_by_their_fields(self, fork_game):
+        twin = FiniteGame.build(
+            vertices=["A", "B", "C"],
+            edges=[("A", "a", "B"), ("A", "a", "C"), ("B", "a", "B"), ("C", "a", "C")],
+            owner={"A": 0, "B": 0, "C": 0},
+            targets=[["B"]],
+            initial="A",
+        )
+        ours = _solver_records(fork_game)
+        fixpoint._analysis.cache_clear()  # else the twin gets the same analysis back
+        theirs = _solver_records(twin)
+        for (a, _), (b, _) in zip(ours, theirs):
+            assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert GainProfile(1, 2) != GainProfile(1, 3) and LassoPlay((), (0,)) != LassoPlay((0,), (0,))
+
+    def test_extended_game_compares_base_and_origin_only(self, fork_game):
+        xg = fixpoint.analyze(fork_game).extended_game
+        bare = ExtendedGame(xg.base, xg.origin, (), (), ())
+        assert bare == xg and hash(bare) == hash(xg) and not bare != xg
+        assert ExtendedGame(xg.base, xg.origin[:1], (), (), ()) != xg
+
+    def test_records_survive_pickling(self, fork_game):
+        for record, _ in _solver_records(fork_game):
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_gain_profiles_are_only_partially_ordered(self):
+        low, high, other = GainProfile(0b01, 2), GainProfile(0b11, 2), GainProfile(0b10, 2)
+        assert high >= low and high >= high and not low >= high
+        # a lexicographic order would put 0b10 above 0b01
+        assert not other >= low and not low >= other
+        for compare in (operator.lt, operator.gt):
+            with pytest.raises(TypeError):
+                compare(low, high)
+        with pytest.raises(TypeError):
+            sorted([high, low])
 
 
 class TestLassoPlay:

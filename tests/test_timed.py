@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -288,6 +288,46 @@ def zero_clock_fork_ppta() -> PPTA:
     )
 
 
+class TestTimedRecords:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GuardAtom(0, "ne", 1), "unknown comparator 'ne'"),
+        (lambda: GuardAtom(0, "le", -1), "natural number, got -1"),
+        (lambda: GuardAtom(0, "le", True), "natural number, got True"),
+        (lambda: GuardAtom(0, "le", 1.5), "natural number, got 1.5"),
+        (lambda: GuardAtom(clock=-1, op="le", const=1), "clock index must be nonnegative"),
+        (lambda: _region([1], []), "clipped entries must match the clock count"),
+        (lambda: _region([1], [(2, True)]), r"integer part 2 outside \[0, 1\]"),
+        (lambda: _region([1], [(1, False)], [{0}]), "values above the maximum must be Beyond"),
+        (lambda: _region([1], [(0, True)], [set()]), "must not contain empty groups"),
+        (lambda: _region([1, 1], [(0, False), (0, False)], [{0}]), "each nonzero-fraction clock once"),
+        (lambda: _region([1], [(0, False)], [{0}, {0}]), "each nonzero-fraction clock once"),
+        (lambda: GuardAtom(0, "le", 1)._replace(op="ne"), "unknown comparator 'ne'"),
+        (lambda: _region([1], [None])._replace(clipped=()), "clipped entries must match the clock count"),
+    ])
+    def test_bad_values_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_records_are_values(self):
+        # built twice, equal but distinct; keyword and positional forms agree
+        def records():
+            a = two_clock_handover_ppta()
+            rg = build_region_game(a)
+            return [
+                (a, "transitions"), (a.transitions[0], "guard"), (a.transitions[0].guard[0], "const"),
+                (rg, "game"), (rg.origin[-1][1], "frac_order"),
+                (ClockRegion(maxima=(2, 1), clipped=((0, True), None), frac_order=()), "clipped"),
+            ]
+
+        assert GuardAtom(clock=0, op="le", const=2) == GuardAtom(0, "le", 2)
+        for (ours, field), (theirs, _) in zip(records(), records()):
+            assert ours is not theirs and ours == theirs and hash(ours) == hash(theirs)
+            assert pickle.loads(pickle.dumps(ours)) == ours
+            with pytest.raises(AttributeError):
+                setattr(ours, field, getattr(ours, field))
+        assert _region([1], [None]) != _region([2], [None])
+
+
 def assert_matches_reference(a: PPTA) -> None:
     rg = build_region_game(a)
     ref, triples = reference_build_region_game(a)
@@ -383,8 +423,7 @@ class TestBuildRegionGame:
         a = two_clock_handover_ppta()
         # the only move out of l2 needs y = 0, which no delay brings back once
         # y has left 0
-        a = dataclasses.replace(
-            a,
+        a = a._replace(
             transitions=a.transitions[:-1]
             + (Transition(2, "c", (GuardAtom(1, "eq", 0),), frozenset(), 2),),
         )
