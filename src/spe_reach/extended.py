@@ -24,7 +24,7 @@ from .game import FiniteGame, LassoPlay, validate_game
 
 def set_name(mask: int) -> str:
     """The display name ``{i,j}`` of a satisfied-players mask."""
-    players = [str(i) for i in range(mask.bit_length()) if (mask >> i) & 1]
+    players = [str(i) for i, b in enumerate(reversed(format(mask, "b"))) if b == "1"]
     return "{" + ",".join(players) + "}"
 
 

@@ -16,6 +16,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import InputError
 
 
+def _mask(players: Sequence[int]) -> int:
+    """The mask with bit i set for each listed player i.
+
+    It is read from binary text, so the time is linear in the mask's width,
+    where setting one shifted bit at a time would be quadratic.
+    """
+    digits = ["0"] * (max(players, default=-1) + 1)
+    for i in players:
+        digits[-1 - i] = "1"
+    return int("0" + "".join(digits), 2)
+
+
 class GainProfile(namedtuple("GainProfile", "mask n")):
     """One win/lose bit per player, packed into an integer ``mask`` over ``n`` players.
 
@@ -36,18 +48,16 @@ class GainProfile(namedtuple("GainProfile", "mask n")):
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "GainProfile":
-        mask = 0
-        count = 0
-        for i, b in enumerate(bits):
+        bits = tuple(bits)
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"gain bit must be 0 or 1, got {b!r}")
-            mask |= b << i
-            count = i + 1
-        return cls(mask, count)
+        return cls(_mask([i for i, b in enumerate(bits) if b]), len(bits))
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
+        # the guard bit 1 << n fixes the text at n + 1 digits; it is dropped
+        return tuple(map(int, format(self.mask | 1 << self.n, "b")[:0:-1]))
 
     def wins(self, player: int) -> bool:
         if not 0 <= player < self.n:
@@ -87,17 +97,12 @@ class ConstraintProfile(namedtuple("ConstraintProfile", "lower upper")):
     @classmethod
     def from_words(cls, words: Sequence[str]) -> "ConstraintProfile":
         """Build bounds from one of ``win``/``lose``/``any`` per player."""
-        lo = up = 0
         for i, word in enumerate(words):
-            if word == "win":
-                lo |= 1 << i
-                up |= 1 << i
-            elif word == "any":
-                up |= 1 << i
-            elif word != "lose":
+            if word not in ("win", "lose", "any"):
                 raise ValueError(f"player {i}: expected win/lose/any, got {word!r}")
-        n = len(words)
-        return cls(GainProfile(lo, n), GainProfile(up, n))
+        lo = _mask([i for i, word in enumerate(words) if word == "win"])
+        up = _mask([i for i, word in enumerate(words) if word != "lose"])
+        return cls(GainProfile(lo, len(words)), GainProfile(up, len(words)))
 
     def admits(self, p: GainProfile) -> bool:
         return self.lower <= p and p <= self.upper
@@ -162,10 +167,13 @@ class FiniteGame(namedtuple(
     @cached_property
     def target_mask(self) -> tuple[int, ...]:
         """Per vertex, the mask of players whose target set contains it."""
-        masks = [0] * self.n_vertices
+        players: dict[int, list[int]] = {}
         for i, ts in enumerate(self.targets):
             for v in ts:
-                masks[v] |= 1 << i
+                players.setdefault(v, []).append(i)
+        masks = [0] * self.n_vertices
+        for v, listed in players.items():
+            masks[v] = _mask(listed)
         return tuple(masks)
 
     @classmethod

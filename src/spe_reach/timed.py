@@ -1,13 +1,14 @@
 """Timed-automaton front end: guards, clock regions, and the region game.
 
-A clock valuation is abstracted by the integer part of each clock clipped at
-the largest constant it is compared against, a flag per clock for a zero
-fractional part, and the ordering of the nonzero fractional parts. Two
+A clock valuation is abstracted by the index of the elementary interval that
+holds each clock (``2k`` for exactly k, ``2k+1`` for (k, k+1), ``2m+1`` past
+the largest constant m the clock is compared against, so ``clock op k`` holds
+iff ``index op 2k``) and the ordering of the nonzero fractional parts. Two
 valuations with the same abstraction satisfy the same guards and stay
-equivalent under time elapse and resets, so the abstraction is a
-time-abstract bisimulation that respects owners and goals. The region game
-is the finite quotient of the (uncountable) timed game it induces; solving
-on it is equivalent to solving on the timed game itself.
+equivalent under time elapse and resets, so the abstraction is a time-abstract
+bisimulation that respects owners and goals. The region game is the finite
+quotient of the (uncountable) timed game it induces; solving on it is
+equivalent to solving on the timed game itself.
 
 The builder interns regions: each reachable region is constructed once and
 then named by an int id, so time-successor chains share their tails through
@@ -19,6 +20,7 @@ pair and delay.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -27,6 +29,8 @@ from .errors import DeadlockedRegionError, InputError, SizeCapError
 from .game import FiniteGame
 
 COMPARATORS = ("le", "lt", "eq", "gt", "ge")
+# the comparator names are those of the operator module's functions
+_HOLDS = {op: getattr(operator, op) for op in COMPARATORS}
 
 
 class GuardAtom(namedtuple("GuardAtom", "clock op const")):
@@ -132,96 +136,62 @@ def validate_ppta(a: PPTA) -> list[str]:
     return problems
 
 
-class ClockRegion(namedtuple("ClockRegion", "maxima clipped frac_order")):
+class ClockRegion(namedtuple("ClockRegion", "maxima intervals frac_order")):
     """Canonical cell of the clock abstraction.
 
     ``maxima[c]`` is the largest constant clock c is compared against.
-    ``clipped[c]`` is None when clock c exceeds its maximum, otherwise an
-    (integer part, fraction-is-zero) pair; ``frac_order`` groups the clocks
-    with equal nonzero fractional parts, smallest fraction first, as a
-    tuple of frozensets. Regions are value objects: equality of canonical
-    forms is region equivalence.
+    ``intervals[c]`` is the index of the elementary interval that holds
+    clock c: ``2k`` for exactly k, ``2k+1`` for (k, k+1), and the top index
+    ``2*maxima[c]+1`` for (maxima[c], ∞). ``frac_order`` groups the clocks
+    with an odd index below the top (a nonzero fractional part) by equal
+    fractions, smallest first, as a tuple of frozensets. Regions are value
+    objects: equality of canonical forms is region equivalence.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, maxima, clipped, frac_order) -> "ClockRegion":
-        if len(clipped) != len(maxima):
-            raise ValueError("clipped entries must match the clock count")
+    def __new__(cls, maxima, intervals, frac_order) -> "ClockRegion":
+        if len(intervals) != len(maxima):
+            raise ValueError("interval entries must match the clock count")
         fractional = set()
-        for c, info in enumerate(clipped):
-            if info is None:
-                continue
-            ip, zero = info
-            if not 0 <= ip <= maxima[c]:
-                raise ValueError(f"clock {c}: integer part {ip} outside [0, {maxima[c]}]")
-            if ip == maxima[c] and not zero:
-                raise ValueError(f"clock {c}: values above the maximum must be Beyond")
-            if not zero:
+        for c, i in enumerate(intervals):
+            top = 2 * maxima[c] + 1
+            if not 0 <= i <= top:
+                raise ValueError(f"clock {c}: interval index {i} outside [0, {top}]")
+            if i % 2 and i < top:
                 fractional.add(c)
         listed = [c for group in frac_order for c in group]
         if any(not group for group in frac_order):
             raise ValueError("fractional order must not contain empty groups")
         if len(listed) != len(set(listed)) or set(listed) != fractional:
             raise ValueError("fractional order must list each nonzero-fraction clock once")
-        return super().__new__(cls, maxima, clipped, frac_order)
+        return super().__new__(cls, maxima, intervals, frac_order)
 
     @classmethod
     def zero(cls, maxima: Sequence[int]) -> "ClockRegion":
-        maxima = tuple(maxima)
-        return cls(maxima, tuple((0, True) for _ in maxima), ())
+        return cls(tuple(maxima), (0,) * len(maxima), ())
 
 
 def _immediate_time_successor(r: ClockRegion) -> ClockRegion | None:
     """The next region hit when time elapses, or None from the absorbing one."""
-    live = [c for c, info in enumerate(r.clipped) if info is not None]
-    if not live:
-        return None
-    clipped = list(r.clipped)
-    at_integer = [c for c in live if r.clipped[c][1]]  # type: ignore[index]
+    intervals = list(r.intervals)
+    at_integer = [c for c, i in enumerate(intervals) if i % 2 == 0]
     if at_integer:
-        # any positive delay moves these off the integer; those at the
-        # maximum cross into Beyond, the rest open a new smallest-fraction group
-        opening = []
+        # any positive delay moves these off the integer; those below their
+        # maximum open a new smallest-fraction group, the rest reach the top
         for c in at_integer:
-            ip = r.clipped[c][0]  # type: ignore[index]
-            if ip == r.maxima[c]:
-                clipped[c] = None
-            else:
-                clipped[c] = (ip, False)
-                opening.append(c)
-        order = ((frozenset(opening),) + r.frac_order) if opening else r.frac_order
-        return ClockRegion(r.maxima, tuple(clipped), order)
-    # all fractions nonzero: the largest group is first to reach the next integer
-    wrapping = r.frac_order[-1]
-    for c in wrapping:
-        clipped[c] = (r.clipped[c][0] + 1, True)  # type: ignore[index]
-    return ClockRegion(r.maxima, tuple(clipped), r.frac_order[:-1])
-
-
-def _atom_sat_region(atom: GuardAtom, r: ClockRegion) -> bool:
-    if not 0 <= atom.clock < len(r.clipped):
-        raise ValueError(f"guard uses unknown clock id {atom.clock}")
-    if atom.const > r.maxima[atom.clock]:
-        raise ValueError(
-            f"guard constant {atom.const} exceeds the maximum {r.maxima[atom.clock]} "
-            f"of clock {atom.clock}; regions do not refine such constraints"
-        )
-    info = r.clipped[atom.clock]
-    if info is None:
-        return atom.op in ("gt", "ge")
-    ip, zero = info
-    k = atom.const
-    if atom.op == "lt":
-        return ip < k
-    if atom.op == "le":
-        return ip < k or (ip == k and zero)
-    if atom.op == "eq":
-        return ip == k and zero
-    if atom.op == "ge":
-        return ip >= k
-    return ip > k or (ip == k and not zero)
+            intervals[c] += 1
+        opening = frozenset(c for c in at_integer if r.intervals[c] < 2 * r.maxima[c])
+        order = ((opening,) + r.frac_order) if opening else r.frac_order
+    elif r.frac_order:
+        # all fractions nonzero: the largest group is first to reach the next integer
+        for c in r.frac_order[-1]:
+            intervals[c] += 1
+        order = r.frac_order[:-1]
+    else:
+        return None  # every clock is at its top index
+    return ClockRegion(r.maxima, tuple(intervals), order)
 
 
 def guard_sat_region(guard: Guard, r: ClockRegion) -> bool:
@@ -230,22 +200,32 @@ def guard_sat_region(guard: Guard, r: ClockRegion) -> bool:
     Well defined because regions refine all comparisons against constants
     up to the per-clock maxima.
     """
-    return all(_atom_sat_region(atom, r) for atom in guard)
+    for clock, op, const in guard:
+        if not 0 <= clock < len(r.intervals):
+            raise ValueError(f"guard uses unknown clock id {clock}")
+        if const > r.maxima[clock]:
+            raise ValueError(
+                f"guard constant {const} exceeds the maximum {r.maxima[clock]} "
+                f"of clock {clock}; regions do not refine such constraints"
+            )
+        if not _HOLDS[op](r.intervals[clock], 2 * const):
+            return False
+    return True
 
 
 def reset_region(r: ClockRegion, resets: Iterable[int]) -> ClockRegion:
     """Zero the given clocks and drop them from the fractional order."""
     rs = frozenset(resets)
     for c in rs:
-        if not 0 <= c < len(r.clipped):
+        if not 0 <= c < len(r.intervals):
             raise ValueError(f"reset uses unknown clock id {c}")
     if not rs:
         return r
-    clipped = list(r.clipped)
+    intervals = list(r.intervals)
     for c in rs:
-        clipped[c] = (0, True)
+        intervals[c] = 0
     order = tuple(group - rs for group in r.frac_order if group - rs)
-    return ClockRegion(r.maxima, tuple(clipped), order)
+    return ClockRegion(r.maxima, tuple(intervals), order)
 
 
 def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
@@ -256,13 +236,13 @@ def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
     it distinguishes otherwise identical cells.
     """
     parts = []
-    for c, info in enumerate(r.clipped):
-        name = clock_names[c]
-        if info is None:
-            parts.append(f"{name}>{r.maxima[c]}")
+    for name, i, x in zip(clock_names, r.intervals, r.maxima):
+        if i == 2 * x + 1:
+            parts.append(f"{name}>{x}")
+        elif i % 2:
+            parts.append(f"{name}∈({i // 2},{i // 2 + 1})")
         else:
-            ip, zero = info
-            parts.append(f"{name}={ip}" if zero else f"{name}∈({ip},{ip + 1})")
+            parts.append(f"{name}={i // 2}")
     if sum(len(group) for group in r.frac_order) >= 2:
         parts.append(
             "<".join(

@@ -40,19 +40,19 @@ def region_of(valuation: Sequence, maxima: Sequence[int]) -> ClockRegion:
     vals = _as_valuation(valuation)
     if len(vals) != len(maxima):
         raise ValueError("valuation entries must match the clock count")
-    clipped: list[tuple[int, bool] | None] = []
+    intervals: list[int] = []
     by_fraction: dict[Fraction, list[int]] = {}
     for c, v in enumerate(vals):
         if v > maxima[c]:
-            clipped.append(None)
+            intervals.append(2 * maxima[c] + 1)
             continue
         ip = v.numerator // v.denominator
         frac = v - ip
-        clipped.append((ip, frac == 0))
+        intervals.append(2 * ip + (frac != 0))
         if frac != 0:
             by_fraction.setdefault(frac, []).append(c)
     order = tuple(frozenset(by_fraction[f]) for f in sorted(by_fraction))
-    return ClockRegion(maxima, tuple(clipped), order)
+    return ClockRegion(maxima, tuple(intervals), order)
 
 
 def region_equiv(nu1: Sequence, nu2: Sequence, maxima: Sequence[int]) -> bool:
@@ -100,13 +100,11 @@ def region_representative(r: ClockRegion) -> ClockValuation:
         for c in group:
             frac_of[c] = Fraction(j + 1, k + 1)
     out = []
-    for c in range(k):
-        info = r.clipped[c]
-        if info is None:
+    for c, i in enumerate(r.intervals):
+        if i == 2 * r.maxima[c] + 1:
             out.append(Fraction(r.maxima[c] + 1))
         else:
-            ip, zero = info
-            out.append(Fraction(ip) if zero else ip + frac_of[c])
+            out.append(i // 2 + frac_of.get(c, Fraction(0)))
     return tuple(out)
 
 
@@ -125,16 +123,10 @@ def _ordered_partitions(items: frozenset[int]) -> Iterator[tuple[frozenset[int],
 def all_regions(maxima: Sequence[int]) -> list[ClockRegion]:
     """Every canonical region for the given per-clock maxima."""
     maxima = tuple(maxima)
-    options: list[list[tuple[int, bool] | None]] = []
-    for x in maxima:
-        opts: list[tuple[int, bool] | None] = [None]
-        opts.extend((ip, True) for ip in range(x + 1))
-        opts.extend((ip, False) for ip in range(x))
-        options.append(opts)
     regions = []
-    for combo in product(*options):
+    for combo in product(*(range(2 * x + 2) for x in maxima)):
         fractional = frozenset(
-            c for c, info in enumerate(combo) if info is not None and not info[1]
+            c for c, i in enumerate(combo) if i % 2 and i < 2 * maxima[c] + 1
         )
         for order in _ordered_partitions(fractional):
             regions.append(ClockRegion(maxima, tuple(combo), order))
@@ -158,12 +150,11 @@ def random_member(r: ClockRegion, rng: random.Random) -> tuple[Fraction, ...]:
         for c in group:
             frac_of[c] = Fraction(numerators[j], denom)
     out = []
-    for c, info in enumerate(r.clipped):
-        if info is None:
+    for c, i in enumerate(r.intervals):
+        if i == 2 * r.maxima[c] + 1:
             out.append(r.maxima[c] + rng.randint(1, 3) + Fraction(rng.randint(0, 4), 5))
         else:
-            ip, zero = info
-            out.append(Fraction(ip) if zero else ip + frac_of[c])
+            out.append(i // 2 + frac_of.get(c, Fraction(0)))
     return tuple(out)
 
 
@@ -174,7 +165,7 @@ def _fractional(v: Fraction) -> Fraction:
 def immediate_delay(nu: Sequence[Fraction], maxima: Sequence[int]) -> Fraction:
     """A delay moving nu exactly into the next region of its time chain."""
     r = region_of(nu, maxima)
-    live = [c for c, info in enumerate(r.clipped) if info is not None]
+    live = [c for c, i in enumerate(r.intervals) if i < 2 * maxima[c] + 1]
     if not live:
         return Fraction(1)
     fracs = [_fractional(nu[c]) for c in live]

@@ -26,6 +26,7 @@ from clock_samples import (
     all_regions,
     delay_reaching,
     guard_sat_valuation,
+    immediate_delay,
     random_member,
     random_valuation,
     region_equiv,
@@ -39,7 +40,12 @@ from reference_regions import reference_build_region_game
 
 
 def _region(maxima, clipped, order=()):
-    return ClockRegion(tuple(maxima), tuple(clipped), tuple(map(frozenset, order)))
+    """A region written per clock as (integer part, fraction is zero), or None past its maximum."""
+    intervals = tuple(
+        2 * x + 1 if info is None else 2 * info[0] + (not info[1])
+        for x, info in zip(maxima, clipped)
+    )
+    return ClockRegion(tuple(maxima), intervals, tuple(map(frozenset, order)))
 
 
 class TestRegionOf:
@@ -216,6 +222,45 @@ class TestDescribeRegion:
     def test_beyond(self):
         assert describe_region(_region([1], [None]), ("c",)) == "c>1"
 
+    @pytest.mark.parametrize("maxima", [
+        (0,), (3,), (1, 2), (3, 3), (0, 0, 0), (2, 0, 1), (1, 1, 1), (1, 0, 1, 0), (1, 1, 1, 1),
+    ])
+    def test_names_are_injective(self, maxima):
+        # region-game vertex names must stay distinct: `regions` output is
+        # loaded again by name
+        names = tuple(f"c{c}" for c in range(len(maxima)))
+        regions = all_regions(maxima)
+        assert len({describe_region(r, names) for r in regions}) == len(regions)
+
+
+class TestRegionOperationsOnRandomMaxima:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agree_with_exact_valuations(self, data):
+        maxima = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        # a few shared fractions make equal fractional parts likely, and
+        # integer parts up to the maximum plus one reach the top index
+        nu = tuple(
+            data.draw(st.integers(0, x + 1)) + Fraction(data.draw(st.integers(0, 4)), 5)
+            for x in maxima
+        )
+        r = region_of(nu, maxima)
+        chain = time_successors(r)
+        if len(chain) == 1:
+            assert all(v > x for v, x in zip(nu, maxima))
+        else:
+            d = immediate_delay(nu, maxima)
+            assert region_of([v + d for v in nu], maxima) == chain[1]
+            assert region_of([v + d / 2 for v in nu], maxima) in chain[:2]
+        for c, x in enumerate(maxima):
+            for op in ("le", "lt", "eq", "gt", "ge"):
+                for k in range(x + 1):
+                    atom = (GuardAtom(c, op, k),)
+                    assert guard_sat_region(atom, r) == guard_sat_valuation(atom, nu)
+        for resets in range(1 << len(maxima)):
+            rs = [c for c in range(len(maxima)) if resets >> c & 1]
+            assert reset_region(r, rs) == region_of(reset_valuation(nu, rs), maxima)
+
 
 def one_clock_choice_ppta() -> PPTA:
     """Reach l1 while the clock is at most 1, or l2 strictly later."""
@@ -295,14 +340,21 @@ class TestTimedRecords:
         (lambda: GuardAtom(0, "le", True), "natural number, got True"),
         (lambda: GuardAtom(0, "le", 1.5), "natural number, got 1.5"),
         (lambda: GuardAtom(clock=-1, op="le", const=1), "clock index must be nonnegative"),
-        (lambda: _region([1], []), "clipped entries must match the clock count"),
-        (lambda: _region([1], [(2, True)]), r"integer part 2 outside \[0, 1\]"),
-        (lambda: _region([1], [(1, False)], [{0}]), "values above the maximum must be Beyond"),
-        (lambda: _region([1], [(0, True)], [set()]), "must not contain empty groups"),
-        (lambda: _region([1, 1], [(0, False), (0, False)], [{0}]), "each nonzero-fraction clock once"),
-        (lambda: _region([1], [(0, False)], [{0}, {0}]), "each nonzero-fraction clock once"),
+        (lambda: ClockRegion((1,), (), ()), "interval entries must match the clock count"),
+        (lambda: ClockRegion((1,), (4,), ()), r"clock 0: interval index 4 outside \[0, 3\]"),
+        (lambda: ClockRegion((0,), (-1,), ()), r"clock 0: interval index -1 outside \[0, 1\]"),
+        (lambda: ClockRegion((1,), (0,), (frozenset(),)), "must not contain empty groups"),
+        # the order lists exactly the clocks with an odd index below the top:
+        # here one is missing, one twice, one on an integer, one at the top
+        (lambda: ClockRegion((1, 1), (1, 1), (frozenset({0}),)), "each nonzero-fraction clock once"),
+        (lambda: ClockRegion((1,), (1,), (frozenset({0}),) * 2), "each nonzero-fraction clock once"),
+        (lambda: ClockRegion((1,), (2,), (frozenset({0}),)), "each nonzero-fraction clock once"),
+        (lambda: ClockRegion((1,), (3,), (frozenset({0}),)), "each nonzero-fraction clock once"),
         (lambda: GuardAtom(0, "le", 1)._replace(op="ne"), "unknown comparator 'ne'"),
-        (lambda: _region([1], [None])._replace(clipped=()), "clipped entries must match the clock count"),
+        (lambda: ClockRegion.zero([1])._replace(intervals=()), "interval entries must match"),
+        (lambda: ClockRegion.zero([1])._replace(intervals=(5,)), r"interval index 5 outside \[0, 3\]"),
+        (lambda: ClockRegion.zero([1])._replace(frac_order=(frozenset(),)), "fractional order must not contain empty"),
+        (lambda: ClockRegion.zero([1])._replace(intervals=(1,)), "fractional order must list each"),
     ])
     def test_bad_values_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -316,7 +368,7 @@ class TestTimedRecords:
             return [
                 (a, "transitions"), (a.transitions[0], "guard"), (a.transitions[0].guard[0], "const"),
                 (rg, "game"), (rg.origin[-1][1], "frac_order"),
-                (ClockRegion(maxima=(2, 1), clipped=((0, True), None), frac_order=()), "clipped"),
+                (ClockRegion(maxima=(2, 1), intervals=(0, 3), frac_order=()), "intervals"),
             ]
 
         assert GuardAtom(clock=0, op="le", const=2) == GuardAtom(0, "le", 2)
