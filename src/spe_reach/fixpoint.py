@@ -14,11 +14,12 @@ At the fixpoint a play is an equilibrium outcome iff it is consistent with
 the labels, so constrained existence reduces to a forward search for one
 consistent lasso per admissible gain profile.
 
-The extended game and the fixpoint depend on the game alone, so
-:func:`analyze` validates the game and computes them once per game (and
-size cap), keeping the result as an :class:`Analysis`;
-:meth:`Analysis.decide` then runs only the per-constraint profile scan,
-each search confined to the down-set of its gain profile.
+The extended game, the fixpoint and the core of every layer under it
+depend on the game alone, so :func:`analyze` validates the game and
+computes them once per game (and size cap), keeping the result as an
+:class:`Analysis`; :meth:`Analysis.decide` then runs only the
+per-constraint profile scan, one forward search per profile, each confined
+to the down-set of its gain profile.
 """
 
 from __future__ import annotations
@@ -72,18 +73,30 @@ def _core(xg: ExtendedGame, lam: Labeling, m: int, mark: list[int], out: list[in
     return [v for v in core if mark[v] == m]
 
 
+def cores(xg: ExtendedGame, lam: Labeling) -> bytes:
+    """One flag per extended vertex: 1 iff it is in the :func:`_core` of its
+    own layer. Layers partition the vertices, so one array covers them all."""
+    n = xg.n_vertices
+    mark, out = [-1] * n, [0] * n
+    for m in xg.layers:
+        _core(xg, lam, m, mark, out)
+    return bytes([a == b for a, b in zip(mark, xg.satisfied)])
+
+
 def exists_consistent_play(
-    xg: ExtendedGame, lam: Labeling, start: int, p: GainProfile
+    xg: ExtendedGame, lam: Labeling, start: int, p: GainProfile, core: bytes | None = None
 ) -> LassoPlay | None:
     """Find a lam-consistent lasso from start with gain profile exactly p.
 
     Such a play ends in the :func:`_core` of layer p (satisfied set p) and
-    never leaves the down-set of p, so the core is pruned once and a forward
-    search from start walks the usable vertices: those whose satisfied set
-    lies within p and that are no loser's label-1 vertex. Winners need no
-    further check, because suffix gains of a winning player hold at every
-    position. The witness is deterministic: shortest path to the first core
-    vertex found, then the first cycle along least-index core successors.
+    never leaves the down-set of p. ``core`` is :func:`cores` of lam, which
+    :class:`Analysis` computes once per game; given None, it is computed
+    here. A forward search from start walks the usable vertices: those whose
+    satisfied set lies within p and that are no loser's label-1 vertex.
+    Winners need no further check, because suffix gains of a winning player
+    hold at every position. The witness is deterministic: shortest path to
+    the first core vertex found, then the first cycle along least-index core
+    successors.
     """
     n = xg.n_vertices
     if not 0 <= start < n:
@@ -97,10 +110,9 @@ def exists_consistent_play(
     sat, owner, succ = xg.satisfied, xg.owner, xg.successors
     if sat[start] & lose or lam[start] and lose >> owner[start] & 1:
         return None
-    mark = [-1] * n
-    if not _core(xg, lam, m, mark, [0] * n):
-        return None
-    goal: int | None = start if mark[start] == m else None
+    if core is None:
+        core = cores(xg, lam)
+    goal: int | None = start if core[start] and sat[start] == m else None
     parent: dict[int, int | None] = {start: None}
     if goal is None:
         queue: deque[int] = deque([start])
@@ -110,7 +122,7 @@ def exists_consistent_play(
                 if w in parent or sat[w] & lose or lam[w] and lose >> owner[w] & 1:
                     continue
                 parent[w] = v
-                if mark[w] == m:
+                if core[w] and sat[w] == m:
                     goal = w
                     break
                 queue.append(w)
@@ -124,7 +136,7 @@ def exists_consistent_play(
     position = {goal: 0}
     while True:
         cur = walk[-1]
-        nxt = next(w for w in succ[cur] if mark[w] == m)
+        nxt = next(w for w in succ[cur] if core[w] and sat[w] == m)
         j = position.get(nxt)
         if j is not None:
             return LassoPlay(tuple(path[:-1] + walk[:j]), tuple(walk[j:]))
@@ -205,11 +217,12 @@ class Decision(NamedTuple):
 
 
 class Analysis(NamedTuple):
-    """What a game's decisions share: its extended game and labeling fixpoint."""
+    """What a game's decisions share: its extended game, fixpoint and :func:`cores`."""
 
     extended_game: ExtendedGame
     lambda_star: Labeling
     k_star: int
+    core: bytes
 
     def decide(self, c: ConstraintProfile) -> Decision:
         """Decide whether an equilibrium with gain between the bounds exists.
@@ -231,7 +244,8 @@ class Analysis(NamedTuple):
             profile = GainProfile(mask, c.n)
             if not c.admits(profile):
                 continue
-            found = exists_consistent_play(xg, lam, xg.x0, profile)
+            # positional: a wrapper around the search may forward *args only
+            found = exists_consistent_play(xg, lam, xg.x0, profile, self.core)
             if found is not None:
                 witness = Witness(profile, found, xg.project(found))
                 return Decision(True, witness, lam, k, xg)
@@ -246,7 +260,7 @@ def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
         raise InputError("; ".join(problems))
     xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
     lam, k = compute_lambda_star(xg)
-    return Analysis(xg, lam, k)
+    return Analysis(xg, lam, k, cores(xg, lam))
 
 
 def analyze(g: FiniteGame, *, max_ext_vertices: int | None = None) -> Analysis:

@@ -203,16 +203,14 @@ class FiniteGame(namedtuple(
         if len(targets) != n:
             raise InputError(f"expected {n} target sets, got {len(targets)}")
 
-        def resolve(name: str, where: str) -> int:
-            if name not in index:
-                raise InputError(f"{where}: unknown vertex '{name}'")
-            return index[name]
-
         # a dict per row keeps the first declaration of each (letter, target)
         rows: list[dict[tuple[str, int], None]] = [{} for _ in names]
         letters: list[str] = []
         for k, (src, letter, dst) in enumerate(edges):
-            rows[resolve(src, f"edge {k}")][(letter, resolve(dst, f"edge {k}"))] = None
+            try:
+                rows[index[src]][(letter, index[dst])] = None
+            except KeyError as miss:
+                raise InputError(f"edge {k}: unknown vertex '{miss.args[0]}'") from None
             letters.append(letter)
         if alphabet is None:
             sigma = tuple(sorted(set(letters)))
@@ -229,18 +227,22 @@ class FiniteGame(namedtuple(
             if not 0 <= player < n:
                 raise InputError(f"vertex '{name}': owner {player} out of range for {n} players")
             owners.append(player)
-        target_sets = tuple(
-            frozenset(resolve(name, f"targets[{i}]") for name in ts)
-            for i, ts in enumerate(targets)
-        )
+        target_sets = []
+        for i, ts in enumerate(targets):
+            try:
+                target_sets.append(frozenset([index[name] for name in ts]))
+            except KeyError as miss:
+                raise InputError(f"targets[{i}]: unknown vertex '{miss.args[0]}'") from None
+        if initial not in index:
+            raise InputError(f"initial: unknown vertex '{initial}'")
         return cls(
             n_players=n,
             alphabet=sigma,
             vertex_names=names,
             out_edges=tuple(map(tuple, rows)),
             owner=tuple(owners),
-            targets=target_sets,
-            initial=resolve(initial, "initial"),
+            targets=tuple(target_sets),
+            initial=index[initial],
         )
 
 

@@ -10,8 +10,10 @@ from spe_reach.errors import InputError, SizeCapError
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
     _analysis,
+    _core,
     analyze,
     compute_lambda_star,
+    cores,
     decide_constrained_existence,
     exists_consistent_play,
     initial_labeling,
@@ -270,6 +272,42 @@ class TestConsistentPlayMatchesReference:
     @given(labeled_games())
     def test_any_labeling_of_small_games(self, case):
         _assert_plays_match_reference(*case)
+
+
+class TestCores:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_games())
+    def test_given_cores_change_no_play(self, case):
+        xg, lam = case
+        core = cores(xg, lam)
+        for m in range(1 << xg.n_players):
+            p = GainProfile(m, xg.n_players)
+            for v in range(xg.n_vertices):
+                rho = exists_consistent_play(xg, lam, v, p, core)
+                assert rho == exists_consistent_play(xg, lam, v, p)
+                pair = None if rho is None else (rho.prefix, rho.cycle)
+                assert pair == reference_consistent_play(xg, lam, v, p)
+
+    def test_analysis_keeps_the_core_of_every_layer(self):
+        for g in random_games(40, seed=83, max_vertices=10, max_players=4, max_ext_vertices=400):
+            a = analyze(g)
+            xg, lam, n = a.extended_game, a.lambda_star, a.extended_game.n_vertices
+            assert a.core == cores(xg, lam) and len(a.core) == n
+            for m, layer in xg.layers.items():
+                expected = _core(xg, lam, m, [-1] * n, [0] * n)
+                assert [v for v in layer if a.core[v]] == expected
+            assert set(a.core) <= {0, 1}
+
+    def test_decisions_prune_nothing(self, monkeypatch):
+        g = _four_player_game()
+        a = analyze(g)
+
+        def pruned(*args):
+            raise AssertionError("a decision pruned a layer")
+
+        monkeypatch.setattr(fixpoint, "_core", pruned)
+        answers = {a.decide(c).answer for c in all_constraints(4)}
+        assert answers == {True, False}
 
 
 class TestComputeLambdaStar:

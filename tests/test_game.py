@@ -60,7 +60,7 @@ class TestConstraintProfile:
         # the decision scans the admissible satisfied sets that occur, ascending
         tried = []
 
-        def record(xg, lam, start, p):
+        def record(xg, lam, start, p, core=None):
             tried.append(p.mask)
             return None
 
@@ -198,6 +198,31 @@ class TestValidateGame:
                 targets=[[]],
                 initial="A",
             )
+
+    @pytest.mark.parametrize(
+        "edges, targets, initial, message",
+        [
+            ([("A", "a", "B"), ("Z", "a", "A")], [[], []], "A", "edge 1: unknown vertex 'Z'"),
+            ([("A", "a", "B"), ("B", "a", "Z")], [[], []], "A", "edge 1: unknown vertex 'Z'"),
+            # the source is resolved first, so it is the one reported
+            ([("X", "a", "Y")], [[], []], "A", "edge 0: unknown vertex 'X'"),
+            ([("A", "a", "B")], [["A"], ["B", "Z"]], "A", "targets[1]: unknown vertex 'Z'"),
+            ([("A", "a", "B")], [[], []], "Z", "initial: unknown vertex 'Z'"),
+            # edges are resolved before targets, targets before the initial vertex
+            ([("A", "a", "Y")], [["X"], []], "Z", "edge 0: unknown vertex 'Y'"),
+            ([("A", "a", "B")], [["X"], []], "Z", "targets[0]: unknown vertex 'X'"),
+        ],
+    )
+    def test_build_names_the_unknown_reference(self, edges, targets, initial, message):
+        with pytest.raises(InputError) as excinfo:
+            FiniteGame.build(
+                vertices=["A", "B"],
+                edges=edges,
+                owner={"A": 0, "B": 1},
+                targets=targets,
+                initial=initial,
+            )
+        assert str(excinfo.value) == message
 
 
 class TestGainOfLasso:
