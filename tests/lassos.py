@@ -1,13 +1,21 @@
-"""Test-only checkers for lasso plays.
+"""Test-only lasso helpers: a reference enumerator and play checkers.
 
 The solver never checks a lasso: its witnesses are built edge by edge in
 the extended game. These helpers check them from the outside: that a lasso
 uses only existing edges, what its gain profile is, whether it is
 consistent with a labeling, and how a base-game lasso lifts into the
 extended game.
+
+``enumerate_lassos`` is the bounded reference enumerator, with prefix and
+cycle bounds, an unrestricted-prefix mode and ``FiniteGame`` input. Called
+as ``(xg, v, n, n, simple_prefix=True)`` on an extended game with n
+vertices, it yields the lassos the oracle walks from v, in the same order;
+larger, unrestricted enumerations check that simple prefixes lose nothing.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from spe_reach.errors import InputError
 from spe_reach.extended import ExtendedGame
@@ -17,6 +25,89 @@ from spe_reach.game import FiniteGame, GainProfile, LassoPlay
 
 class InvalidLassoError(InputError):
     """A lasso play uses an edge that does not exist in the game."""
+
+
+def enumerate_lassos(
+    g: FiniteGame | ExtendedGame,
+    start: int,
+    max_prefix: int,
+    max_cycle: int,
+    *,
+    simple_prefix: bool = False,
+) -> Iterator[LassoPlay]:
+    """All lassos from start with prefix length <= max_prefix and simple cycle length <= max_cycle.
+
+    Cycles never repeat a vertex; prefixes may, unless ``simple_prefix`` is
+    set. Enumeration order is deterministic: depth-first over prefixes with
+    ascending successors, and for each prefix depth-first over cycles. Only
+    ``n_vertices``, ``successors`` and ``predecessors`` are read, so g may be
+    a ``FiniteGame`` or an ``ExtendedGame``.
+    """
+    if max_cycle < 1:
+        raise ValueError("cycle bound must be at least 1")
+    if not 0 <= start < g.n_vertices:
+        raise ValueError(f"start vertex {start} is not in the game")
+    succ, pred = g.successors, g.predecessors
+    reaching: dict[int, set[int]] = {}
+
+    def reaches(head: int) -> set[int]:
+        """The vertices with a path to head; every vertex of a simple cycle
+        through head is one of them, so a cycle search need not leave this set."""
+        found = reaching.get(head)
+        if found is None:
+            found = {head}
+            stack = [head]
+            while stack:
+                for u in pred[stack.pop()]:
+                    if u not in found:
+                        found.add(u)
+                        stack.append(u)
+            reaching[head] = found
+        return found
+
+    def cycles(head: int) -> Iterator[tuple[int, ...]]:
+        path = [head]
+        on_path = {head}
+        back = reaches(head)
+
+        def extend() -> Iterator[tuple[int, ...]]:
+            cur = path[-1]
+            if head in succ[cur]:
+                yield tuple(path)
+            if len(path) < max_cycle:
+                for w in succ[cur]:
+                    if w in back and w not in on_path:
+                        path.append(w)
+                        on_path.add(w)
+                        yield from extend()
+                        path.pop()
+                        on_path.remove(w)
+
+        yield from extend()
+
+    for cycle in cycles(start):
+        yield LassoPlay((), cycle)
+    if max_prefix < 1:
+        return
+    prefix = [start]
+    on_prefix = {start}
+
+    def with_prefix() -> Iterator[LassoPlay]:
+        last = prefix[-1]
+        for head in succ[last]:
+            for cycle in cycles(head):
+                yield LassoPlay(tuple(prefix), cycle)
+        if len(prefix) < max_prefix:
+            for w in succ[last]:
+                if simple_prefix and w in on_prefix:
+                    continue
+                prefix.append(w)
+                on_prefix.add(w)
+                yield from with_prefix()
+                prefix.pop()
+                on_prefix.discard(w)
+
+    yield from with_prefix()
 
 
 def lasso_violations(g: FiniteGame, rho: LassoPlay) -> list[str]:

@@ -141,6 +141,7 @@ def sweep() -> SweepResult:
     return result
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence(sweep):
     assert sweep.games >= 5500
     assert not sweep.mismatches, sweep.mismatches[:10]
@@ -150,6 +151,7 @@ def test_criterion_1_oracle_equivalence(sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_fixpoint_bounds(sweep):
     assert not sweep.bound_failures, sweep.bound_failures[:10]
     print(
@@ -158,6 +160,7 @@ def test_criterion_2_fixpoint_bounds(sweep):
     )
 
 
+@pytest.mark.slow
 def test_extended_builder_matches_reference(sweep):
     assert not sweep.builder_failures, sweep.builder_failures[:10]
     print(
@@ -166,6 +169,7 @@ def test_extended_builder_matches_reference(sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_unconstrained_existence(sweep):
     assert not sweep.unconstrained_failures, sweep.unconstrained_failures[:10]
     print(
@@ -301,6 +305,7 @@ def test_criterion_6_timed_golden_pipelines():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_witness_soundness(sweep):
     assert not sweep.witness_failures, sweep.witness_failures[:10]
     print(

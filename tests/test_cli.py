@@ -349,6 +349,7 @@ class TestSolveCommand:
         assert main([command, source, "--witness", "--lambda"]) == 0
         assert "edges" not in decisions[0].extended_game.base.__dict__
 
+    @pytest.mark.slow
     def test_oracle_skips_a_game_with_too_many_lassos(self, complete_file):
         run = run_cli(["solve", complete_file, "--oracle"], timeout=10)
         assert run.returncode == 0, run.stderr
@@ -518,12 +519,14 @@ class TestOracleCheckCommand:
         assert out == ""
         assert err == "error: extended game has 68 vertices; the oracle only handles up to 64\n"
 
+    @pytest.mark.slow
     def test_too_many_lassos_exit_2(self, complete_file):
         run = run_cli(["oracle-check", complete_file], timeout=10)
         assert run.returncode == 2
         assert run.stdout == ""
         assert "more than 500000 lassos" in run.stderr
 
+    @pytest.mark.slow
     def test_cycle_search_stays_where_it_can_return(self, layered_file):
         # a cycle search that walked every path from a head it cannot
         # return to would run for hours before counting a single lasso

@@ -1,5 +1,8 @@
+from itertools import chain
+
 import pytest
 
+from spe_reach import oracle
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import (
     analyze,
@@ -11,13 +14,12 @@ from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 from spe_reach.oracle import (
     ORACLE_MAX_EXT_VERTICES,
     OracleLimitError,
-    enumerate_lassos,
     oracle_lambda_star,
     oracle_outcomes,
 )
 
-from generators import all_constraints, random_games
-from lassos import gain_of_lasso, is_consistent
+from generators import all_constraints, dense_small_games, exhaustive_grid, random_games
+from lassos import enumerate_lassos, gain_of_lasso, is_consistent
 
 
 class TestEnumerateLassos:
@@ -179,3 +181,56 @@ def _decide_by_full_enumeration(xg, lam, c, max_prefix, max_cycle):
         if c.admits(p) and is_consistent(xg, lam, rho):
             return True
     return False
+
+
+def _reference_summaries(xgs):
+    """Per game and vertex, the (gain, binding) pairs folded from the
+    reference enumeration, and the number of lassos per game. The games
+    share one adjacency, so one enumeration serves them all."""
+    n = xgs[0].n_vertices
+    out = [[set() for _ in range(n)] for _ in xgs]
+    count = 0
+    for v in range(n):
+        for rho in enumerate_lassos(xgs[0], v, n, n, simple_prefix=True):
+            count += 1
+            for xg, summaries in zip(xgs, out):
+                sat, owner = xg.satisfied, xg.owner
+                gain = 0
+                for u in rho.cycle:
+                    gain |= sat[u]
+                binding = 0
+                for u in rho.cycle:
+                    if not (gain >> owner[u]) & 1:
+                        binding |= 1 << u
+                for u in reversed(rho.prefix):
+                    gain |= sat[u]
+                    if not (gain >> owner[u]) & 1:
+                        binding |= 1 << u
+                summaries[v].add((gain, binding))
+    return [tuple(map(frozenset, summaries)) for summaries in out], count
+
+
+class TestWalkMatchesReference:
+    def test_summaries_and_lasso_count(self, monkeypatch):
+        # the oracle walks exactly the lassos the reference enumerator yields
+        # with simple prefixes, and its cap counts those lassos one by one.
+        # The summaries depend only on the adjacency, satisfied sets and
+        # owners, and the lasso count on the adjacency alone, so games are
+        # grouped by adjacency and repeats are checked once.
+        groups = {}
+        for g in chain(
+            exhaustive_grid(),
+            random_games(200, seed=107, max_players=4),
+            dense_small_games(),
+        ):
+            xg = build_extended_game(g)
+            groups.setdefault(xg.successors, {}).setdefault((xg.satisfied, xg.owner), xg)
+        for same_adjacency in groups.values():
+            xgs = list(same_adjacency.values())
+            expected, count = _reference_summaries(xgs)
+            monkeypatch.setattr(oracle, "ORACLE_MAX_LASSOS", count)
+            for xg, summaries in zip(xgs, expected):
+                assert oracle._lasso_summaries(xg) == summaries
+            monkeypatch.setattr(oracle, "ORACLE_MAX_LASSOS", count - 1)
+            with pytest.raises(OracleLimitError, match=f"more than {count - 1} lassos"):
+                oracle._lasso_summaries(xgs[0])
