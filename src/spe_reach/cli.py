@@ -107,7 +107,7 @@ def _print_witness(decision: Decision) -> None:
 
 
 def _print_labeling(decision: Decision) -> None:
-    # each row spells xg.vertex_name(x), from one name per occurring satisfied set
+    # row x spells xg.game.vertex_names[x], from one name per occurring satisfied set
     xg = decision.extended_game
     names = xg.base.vertex_names
     sets = {sat: set_name(sat) for sat in xg.layers}

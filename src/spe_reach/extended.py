@@ -8,9 +8,9 @@ from the initial vertex is materialized, which is usually far smaller than
 the full product with all player subsets.
 
 The builder records owners, successors and predecessors in the same BFS
-that discovers the vertices; that adjacency is all the solver reads. Vertex
-names, lettered edges and target sets exist only in the lazy ``game`` view,
-which dumps, tools and tests use; the oracle reads the adjacency too.
+that discovers the vertices; that adjacency is all the solver and the oracle
+read. Vertex names, lettered edges and target sets exist only in the lazy
+``game`` view, which the benchmark's tracer and tests build.
 """
 
 from __future__ import annotations
@@ -78,24 +78,16 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors pred
         return tuple(v for v, _ in self.origin)
 
     @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {pair: i for i, pair in enumerate(self.origin)}
-
-    def vertex_name(self, x: int) -> str:
-        """The display name ``base|{i,j}`` of extended vertex x."""
-        v, sat = self.origin[x]
-        return f"{self.base.vertex_names[v]}|{set_name(sat)}"
-
-    @cached_property
     def game(self) -> FiniteGame:
         """The extended game as a named, lettered FiniteGame, built on first access.
 
-        The ``out_edges`` row of extended vertex (v, sat) follows the base
-        row of v, which is the order the BFS discovered its successors in.
+        Extended vertex (v, sat) is named ``v|{i,j}``. Its ``out_edges`` row
+        follows the base row of v, which is the order the BFS discovered its
+        successors in.
         """
         g = self.base
-        tm = g.target_mask
-        index = self.index
+        tm, names = g.target_mask, g.vertex_names
+        index = {pair: x for x, pair in enumerate(self.origin)}
         out_edges = tuple(
             tuple((letter, index[(dst, sat | tm[dst])]) for letter, dst in g.out_edges[v])
             for v, sat in self.origin
@@ -104,7 +96,7 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors pred
         return FiniteGame(
             n_players=g.n_players,
             alphabet=g.alphabet,
-            vertex_names=tuple(self.vertex_name(x) for x in range(self.n_vertices)),
+            vertex_names=tuple(f"{names[v]}|{set_name(m)}" for v, m in self.origin),
             out_edges=out_edges,
             owner=self.owner,
             targets=tuple(

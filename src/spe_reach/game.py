@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -46,23 +46,10 @@ class GainProfile(namedtuple("GainProfile", "mask n")):
             raise ValueError(f"mask {mask} out of range for {n} players")
         return super().__new__(cls, mask, n)
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "GainProfile":
-        bits = tuple(bits)
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"gain bit must be 0 or 1, got {b!r}")
-        return cls(_mask([i for i, b in enumerate(bits) if b]), len(bits))
-
     @property
     def bits(self) -> tuple[int, ...]:
         # the guard bit 1 << n fixes the text at n + 1 digits; it is dropped
         return tuple(map(int, format(self.mask | 1 << self.n, "b")[:0:-1]))
-
-    def wins(self, player: int) -> bool:
-        if not 0 <= player < self.n:
-            raise ValueError(f"player {player} out of range")
-        return bool((self.mask >> player) & 1)
 
     def __le__(self, other: "GainProfile") -> bool:
         if self.n != other.n:
@@ -120,11 +107,10 @@ class FiniteGame(namedtuple(
 
     ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
     leaving v, in declaration order, each pair once. Every builder fills
-    these rows directly; ``edges``, ``successors``, ``predecessors`` and
-    ``target_mask`` are views derived from them on first access. ``owner[v]``
-    is a player index and ``targets`` holds frozensets of vertex ids. The
-    views and the memoized hash keep an instance ``__dict__``, so this
-    record has no ``__slots__``.
+    these rows directly; ``edges`` and ``target_mask`` are views derived on
+    first access. ``owner[v]`` is a player index and ``targets`` holds
+    frozensets of vertex ids. The views and the memoized hash keep an
+    instance ``__dict__``, so this record has no ``__slots__``.
     """
 
     @property
@@ -150,19 +136,6 @@ class FiniteGame(namedtuple(
         return tuple(
             (src, letter, dst) for src, row in enumerate(self.out_edges) for letter, dst in row
         )
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex successors with letters collapsed, ascending order."""
-        return tuple(tuple(sorted({dst for _, dst in row})) for row in self.out_edges)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for src, row in enumerate(self.out_edges):
-            for _, dst in row:
-                inc[dst].add(src)
-        return tuple(tuple(sorted(s)) for s in inc)
 
     @cached_property
     def target_mask(self) -> tuple[int, ...]:
@@ -302,19 +275,3 @@ class LassoPlay(namedtuple("LassoPlay", "prefix cycle")):
         if not cycle:
             raise ValueError("lasso cycle must be nonempty")
         return super().__new__(cls, prefix, cycle)
-
-    @property
-    def start(self) -> int:
-        return self.prefix[0] if self.prefix else self.cycle[0]
-
-    @property
-    def visited(self) -> frozenset[int]:
-        return frozenset(self.prefix) | frozenset(self.cycle)
-
-    def steps(self) -> Iterator[tuple[int, int]]:
-        """Consecutive vertex pairs, including the cycle's wrap-around."""
-        seq = self.prefix + self.cycle
-        for a, b in zip(seq, seq[1:]):
-            yield a, b
-        yield self.cycle[-1], self.cycle[0]
-

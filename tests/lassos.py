@@ -6,11 +6,13 @@ uses only existing edges, what its gain profile is, whether it is
 consistent with a labeling, and how a base-game lasso lifts into the
 extended game.
 
-``enumerate_lassos`` is the bounded reference enumerator, with prefix and
-cycle bounds, an unrestricted-prefix mode and ``FiniteGame`` input. Called
-as ``(xg, v, n, n, simple_prefix=True)`` on an extended game with n
-vertices, it yields the lassos the oracle walks from v, in the same order;
-larger, unrestricted enumerations check that simple prefixes lose nothing.
+``enumerate_lassos`` is the bounded reference enumerator over an extended
+game's adjacency, with prefix and cycle bounds and an unrestricted-prefix
+mode. Called as ``(xg, v, n, n, simple_prefix=True)`` on an extended game
+with n vertices, it yields the lassos the oracle walks from v, in the same
+order; larger, unrestricted enumerations check that simple prefixes lose
+nothing. The checkers read a lasso's steps and visited vertices straight
+from its prefix and cycle, and a game's edges from ``out_edges``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class InvalidLassoError(InputError):
 
 
 def enumerate_lassos(
-    g: FiniteGame | ExtendedGame,
+    g: ExtendedGame,
     start: int,
     max_prefix: int,
     max_cycle: int,
@@ -39,9 +41,7 @@ def enumerate_lassos(
 
     Cycles never repeat a vertex; prefixes may, unless ``simple_prefix`` is
     set. Enumeration order is deterministic: depth-first over prefixes with
-    ascending successors, and for each prefix depth-first over cycles. Only
-    ``n_vertices``, ``successors`` and ``predecessors`` are read, so g may be
-    a ``FiniteGame`` or an ``ExtendedGame``.
+    ascending successors, and for each prefix depth-first over cycles.
     """
     if max_cycle < 1:
         raise ValueError("cycle bound must be at least 1")
@@ -116,11 +116,11 @@ def lasso_violations(g: FiniteGame, rho: LassoPlay) -> list[str]:
     for v in rho.prefix + rho.cycle:
         if not 0 <= v < nv:
             return [f"lasso references unknown vertex id {v}"]
-    succ = g.successors
+    seq = rho.prefix + rho.cycle
     return [
         f"no edge from '{g.vertex_names[a]}' to '{g.vertex_names[b]}'"
-        for a, b in rho.steps()
-        if b not in succ[a]
+        for a, b in zip(seq, seq[1:] + rho.cycle[:1])
+        if all(dst != b for _, dst in g.out_edges[a])
     ]
 
 
@@ -139,7 +139,7 @@ def gain_of_lasso(g: FiniteGame, rho: LassoPlay) -> GainProfile:
     require_valid_lasso(g, rho)
     tm = g.target_mask
     mask = 0
-    for v in rho.visited:
+    for v in rho.prefix + rho.cycle:
         mask |= tm[v]
     return GainProfile(mask, g.n_players)
 
@@ -182,12 +182,11 @@ def lift_lasso(xg: ExtendedGame, rho: LassoPlay) -> LassoPlay:
     """
     g = xg.base
     require_valid_lasso(g, rho)
-    if rho.start != g.initial:
-        raise InputError(
-            f"lasso starts at '{g.vertex_names[rho.start]}', not the initial vertex"
-        )
+    start = (rho.prefix or rho.cycle)[0]
+    if start != g.initial:
+        raise InputError(f"lasso starts at '{g.vertex_names[start]}', not the initial vertex")
     tm = g.target_mask
-    index = xg.index
+    index = {pair: x for x, pair in enumerate(xg.origin)}
     sat = xg.satisfied
 
     def step(x: int, dst: int) -> int:

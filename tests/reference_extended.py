@@ -2,11 +2,11 @@
 
 This is the direct construction that ``spe_reach.extended`` replaced: a
 BFS over the lettered base edges that materializes the whole extended
-``FiniteGame`` (names, edges, owners, target sets) and leaves successors
-and predecessors to that game's own views. It shares no code with the
-solver's builder, so tests can compare the two. It also returns its edge
+``FiniteGame`` (names, edges, owners, target sets). It shares no code with
+the solver's builder, so tests can compare the two. It also returns its edge
 triples in the order it emitted them, which is grouped by source because
-the BFS visits sources in id order.
+the BFS visits sources in id order; ``adjacency_matches`` checks the
+builder's successor and predecessor rows against those triples.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from spe_reach.errors import InputError, SizeCapError
+from spe_reach.extended import ExtendedGame
 from spe_reach.game import FiniteGame, validate_game
 
 
@@ -71,3 +72,16 @@ def reference_build_extended_game(
         initial=0,
     )
     return ext, tuple(pairs), tuple(edges)
+
+
+def adjacency_matches(xg: ExtendedGame, edges: tuple[tuple[int, str, int], ...]) -> bool:
+    """Whether xg's successor and predecessor rows hold exactly the arcs of
+    the edge triples, each neighbour once and in ascending order."""
+    arcs = sorted({(src, dst) for src, _, dst in edges})
+    return (
+        len(xg.successors) == len(xg.predecessors) == len(xg.origin)
+        and [(x, y) for x, row in enumerate(xg.successors) for y in row] == arcs
+        and [(y, x) for y, row in enumerate(xg.predecessors) for x in row] == sorted(
+            (y, x) for x, y in arcs
+        )
+    )

@@ -97,9 +97,9 @@ def reference_consistent_play(
 
 def reference_sources(xg: ExtendedGame, lam: Labeling, mask: int) -> list[bool]:
     """Vertices from which some lam-consistent play with gain exactly mask starts."""
-    n = xg.game.n_vertices
+    n = xg.n_vertices
     sat = xg.satisfied
-    pred = xg.game.predecessors
+    pred = xg.predecessors
     alive = reference_surviving(xg, lam, mask)
     res = [False] * n
     queue: deque[int] = deque()
@@ -125,8 +125,7 @@ def reference_lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     p, for some p with bit i clear, starts there; when no consistent play
     exists at all the minimum over the empty set is taken as 1.
     """
-    g = xg.game
-    succ = g.successors
+    succ = xg.successors
     sources_for: dict[int, list[bool]] = {}
 
     def sources(mask: int) -> list[bool]:
@@ -136,12 +135,12 @@ def reference_lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
         return res
 
     new = []
-    for v in range(g.n_vertices):
-        i = g.owner[v]
+    for v in range(xg.n_vertices):
+        i = xg.owner[v]
         value = 0
         for w in succ[v]:
             minimum = 1
-            for mask in range(1 << g.n_players):
+            for mask in range(1 << xg.n_players):
                 if (mask >> i) & 1:
                     continue
                 if sources(mask)[w]:

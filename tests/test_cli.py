@@ -252,7 +252,7 @@ class TestSolveCommand:
             main(["solve", str(path), "--lambda"])
             a = analyze(g)
             xg = a.extended_game
-            rows = [f"  {xg.vertex_name(x)}  {label}" for x, label in enumerate(a.lambda_star)]
+            rows = [f"  {name}  {label}" for name, label in zip(xg.game.vertex_names, a.lambda_star)]
             expected = ["labeling fixpoint:", *rows, f"iterations to fixpoint: {a.k_star}"]
             assert capsys.readouterr().out.splitlines()[1:] == expected
 
@@ -319,6 +319,13 @@ class TestSolveCommand:
             )
             assert run.returncode == 0, run.stderr
             assert run.stdout.strip() == "[]", module
+
+    def test_every_export_resolves(self):
+        # a removed member must not leave a stale name behind in __all__
+        names = spe_reach.__all__
+        assert len(set(names)) == len(names)
+        assert spe_reach._TIMED_NAMES <= set(names)
+        assert [name for name in names if not hasattr(spe_reach, name)] == []
 
     def test_leaves_the_game_view_unbuilt(self, fork_file, monkeypatch, capsys):
         decisions = []

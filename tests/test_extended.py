@@ -8,7 +8,7 @@ from spe_reach.game import FiniteGame, LassoPlay
 
 from generators import random_games
 from lassos import gain_of_lasso, lift_lasso
-from reference_extended import reference_build_extended_game
+from reference_extended import adjacency_matches, reference_build_extended_game
 
 
 def test_chain_game_structure(chain_game):
@@ -99,12 +99,10 @@ def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> 
     xg = build_extended_game(g, max_vertices)
     assert xg.origin == origin
     assert xg.owner == ref.owner
-    assert xg.successors == ref.successors
-    assert xg.predecessors == ref.predecessors
+    assert adjacency_matches(xg, triples)
     assert "game" not in xg.__dict__
     assert xg.game == ref
     assert xg.game.edges == triples
-    assert [xg.vertex_name(x) for x in range(xg.n_vertices)] == list(ref.vertex_names)
 
 
 def lettered_game(rng: random.Random) -> FiniteGame:
@@ -202,11 +200,11 @@ class TestLiftLasso:
 def _lasso_from_initial(g, rng, steps: int = 6) -> LassoPlay:
     path = [g.initial]
     for _ in range(steps):
-        path.append(rng.choice(g.successors[path[-1]]))
+        path.append(rng.choice(g.out_edges[path[-1]])[1])
     while True:
         seen = {}
         for pos, v in enumerate(path):
             if v in seen:
                 return LassoPlay(tuple(path[: seen[v]]), tuple(path[seen[v] : pos]))
             seen[v] = pos
-        path.append(rng.choice(g.successors[path[-1]]))
+        path.append(rng.choice(g.out_edges[path[-1]])[1])

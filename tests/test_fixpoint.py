@@ -37,7 +37,7 @@ def fork_ext(fork_game):
 
 
 def _ext_index(xg, base_vertex, mask):
-    return xg.index[(base_vertex, mask)]
+    return xg.origin.index((base_vertex, mask))
 
 
 def _play(xg, lam, start, mask):
@@ -75,13 +75,13 @@ class TestExistsConsistentPlay:
     def test_pruned_start_means_absent(self, fork_ext):
         lam, _ = compute_lambda_star(fork_ext)
         assert (
-            exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile.from_bits([0]))
+            exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(0, 1))
             is None
         )
 
     def test_winning_profile_found(self, fork_ext):
         lam, _ = compute_lambda_star(fork_ext)
-        rho = exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile.from_bits([1]))
+        rho = exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(1, 1))
         assert rho == LassoPlay(
             (_ext_index(fork_ext, 0, 0),), (_ext_index(fork_ext, 1, 1),)
         )
@@ -90,12 +90,12 @@ class TestExistsConsistentPlay:
         xg = build_extended_game(chain_game)
         lam = initial_labeling(xg)
         b = _ext_index(xg, 1, 1)
-        assert exists_consistent_play(xg, lam, b, GainProfile.from_bits([0])) is None
+        assert exists_consistent_play(xg, lam, b, GainProfile(0, 1)) is None
 
     def test_bad_start_rejected(self, fork_ext):
         lam = initial_labeling(fork_ext)
         with pytest.raises(ValueError, match="start"):
-            exists_consistent_play(fork_ext, lam, 99, GainProfile.from_bits([1]))
+            exists_consistent_play(fork_ext, lam, 99, GainProfile(1, 1))
 
     def test_witness_properties_on_random_games(self):
         for g in random_games(40, seed=41):

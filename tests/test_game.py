@@ -4,11 +4,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
 
 from spe_reach import fixpoint
 from spe_reach.errors import InputError
-from spe_reach.extended import ExtendedGame, set_name
+from spe_reach.extended import ExtendedGame, build_extended_game, set_name
 from spe_reach.game import (
     ConstraintProfile,
     FiniteGame,
@@ -23,27 +22,21 @@ from lassos import InvalidLassoError, gain_of_lasso, lasso_violations
 
 class TestGainProfile:
     def test_bits_round_trip(self):
-        p = GainProfile.from_bits([1, 0, 1])
+        p = GainProfile(0b101, 3)
         assert p.bits == (1, 0, 1)
         assert p.mask == 0b101
         assert str(p) == "(1,0,1)"
 
     def test_pointwise_order(self):
-        low = GainProfile.from_bits([0, 1])
-        high = GainProfile.from_bits([1, 1])
+        low = GainProfile(0b10, 2)
+        high = GainProfile(0b11, 2)
         assert low <= high
         assert not high <= low
         assert low <= low
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            GainProfile.from_bits([1]) <= GainProfile.from_bits([1, 0])
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            GainProfile.from_bits([2])
-        with pytest.raises(ValueError):
-            GainProfile(mask=4, n=2)
+            GainProfile(1, 1) <= GainProfile(1, 2)
 
 
 class TestConstraintProfile:
@@ -54,7 +47,7 @@ class TestConstraintProfile:
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
-            ConstraintProfile(GainProfile.from_bits([1]), GainProfile.from_bits([0]))
+            ConstraintProfile(GainProfile(1, 1), GainProfile(0, 1))
 
     def test_admissible_masks_ascending(self, monkeypatch):
         # the decision scans the admissible satisfied sets that occur, ascending
@@ -86,8 +79,8 @@ class TestConstraintProfile:
 
     def test_admits(self):
         c = ConstraintProfile.from_words(["win", "any"])
-        assert c.admits(GainProfile.from_bits([1, 0]))
-        assert not c.admits(GainProfile.from_bits([0, 1]))
+        assert c.admits(GainProfile(0b01, 2))
+        assert not c.admits(GainProfile(0b10, 2))
 
 
 class TestPlayerMasks:
@@ -98,8 +91,7 @@ class TestPlayerMasks:
         for n in range(8):
             for mask in range(1 << n):
                 bits = tuple((mask >> i) & 1 for i in range(n))
-                p = GainProfile.from_bits(bits)
-                assert p == GainProfile(mask, n) and p.bits == bits
+                assert GainProfile(mask, n).bits == bits
                 assert set_name(mask) == "{" + ",".join(str(i) for i in range(n) if bits[i]) + "}"
             words = [rng.choice(("win", "lose", "any")) for _ in range(n)]
             c = ConstraintProfile.from_words(words)
@@ -111,15 +103,14 @@ class TestPlayerMasks:
             )
 
     def test_a_million_players_take_linear_time(self):
-        # built one shifted bit at a time, these took about a minute of CPU
-        # in all; read and written as binary text, about 1.5 s (2 vCPU)
+        # built one shifted bit at a time, these take more than 10 s of CPU
+        # in all; read and written as binary text, about 1 s (2 vCPU)
         n = 10**6
         words = ["win", "lose", "any", "win"] * (n // 4)
         bits = tuple(int(w == "win") for w in words)
         start = time.process_time()
         c = ConstraintProfile.from_words(words)
-        p = GainProfile.from_bits(bits)
-        read = p.bits
+        read = c.lower.bits
         name = set_name(c.upper.mask)
         g = FiniteGame(
             n_players=n, alphabet=("a",), vertex_names=("A",), out_edges=((("a", 0),),),
@@ -127,7 +118,7 @@ class TestPlayerMasks:
         )
         masks = g.target_mask
         elapsed = time.process_time() - start
-        assert c.lower == p and read == bits
+        assert read == bits
         assert name.count(",") == 3 * n // 4 - 1
         assert masks == ((1 << n) - 1,)
         assert elapsed < 10
@@ -249,10 +240,8 @@ class TestGainOfLasso:
     def test_gain_matches_visited_set(self):
         for g in random_games(40, seed=11, max_ext_vertices=None):
             rho = _random_lasso(g, random.Random(g.n_vertices))
-            p = gain_of_lasso(g, rho)
-            for i in range(g.n_players):
-                expected = bool(rho.visited & g.targets[i])
-                assert p.wins(i) == expected
+            visited = set(rho.prefix + rho.cycle)
+            assert gain_of_lasso(g, rho).bits == tuple(int(bool(visited & ts)) for ts in g.targets)
 
     def test_cycle_rotation_invariance(self):
         for g in random_games(25, seed=5, max_ext_vertices=None):
@@ -278,14 +267,14 @@ def _random_lasso(g, rng, prefix_len: int = 3, cycle_len: int = 3) -> LassoPlay:
     """Walk random edges, then close a cycle at the first repeated vertex."""
     path = [g.initial]
     for _ in range(prefix_len + cycle_len):
-        path.append(rng.choice(g.successors[path[-1]]))
+        path.append(rng.choice(g.out_edges[path[-1]])[1])
     while True:
         seen = {}
         for pos, v in enumerate(path):
             if v in seen:
                 return LassoPlay(tuple(path[: seen[v]]), tuple(path[seen[v] : pos]))
             seen[v] = pos
-        path.append(rng.choice(g.successors[path[-1]]))
+        path.append(rng.choice(g.out_edges[path[-1]])[1])
 
 
 def test_multi_edges_collapse_to_one_successor():
@@ -297,8 +286,8 @@ def test_multi_edges_collapse_to_one_successor():
         initial="A",
         alphabet=["a", "b"],
     )
-    assert g.successors[0] == (1,)
     assert g.out_edges[0] == (("a", 1), ("b", 1))
+    assert build_extended_game(g).successors[0] == (1,)
     assert gain_of_lasso(g, LassoPlay((0,), (1,))).bits == (1,)
 
 
@@ -357,12 +346,12 @@ class TestRecords:
         assert GainProfile(mask=2, n=2) == GainProfile(2, 2)
         low, high = GainProfile(0, 1), GainProfile(1, 1)
         assert ConstraintProfile(lower=low, upper=high) == ConstraintProfile(low, high)
-        assert LassoPlay(prefix=(), cycle=(1,)).start == 1
+        assert LassoPlay(prefix=(), cycle=(1,)) == LassoPlay((), (1,))
         g = FiniteGame(
             n_players=1, alphabet=("a",), vertex_names=("A", "B"),
             out_edges=((("a", 1),), (("a", 1),)), owner=(0, 0), targets=(frozenset({1}),), initial=0,
         )
-        assert g == chain_game and g.successors == ((1,), (1,))
+        assert g == chain_game
 
     def test_fields_cannot_be_assigned(self, fork_game):
         for record, field in _solver_records(fork_game):
@@ -410,12 +399,3 @@ class TestLassoPlay:
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):
             LassoPlay((0,), ())
-
-    def test_steps_wrap_around(self):
-        rho = LassoPlay((0,), (1, 2))
-        assert list(rho.steps()) == [(0, 1), (1, 2), (2, 1)]
-
-    @given(st.lists(st.integers(0, 5), max_size=4), st.lists(st.integers(0, 5), min_size=1, max_size=4))
-    def test_visited_is_prefix_union_cycle(self, prefix, cycle):
-        rho = LassoPlay(tuple(prefix), tuple(cycle))
-        assert rho.visited == set(prefix) | set(cycle)

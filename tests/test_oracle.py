@@ -19,12 +19,13 @@ from spe_reach.oracle import (
 )
 
 from generators import all_constraints, dense_small_games, exhaustive_grid, random_games
-from lassos import enumerate_lassos, gain_of_lasso, is_consistent
+from lassos import enumerate_lassos, gain_of_lasso, is_consistent, lasso_violations
 
 
 class TestEnumerateLassos:
+    # the extended games of these fixtures keep the base vertex ids
     def test_chain_contains_canonical_lasso(self, chain_game):
-        lassos = list(enumerate_lassos(chain_game, 0, 2, 2))
+        lassos = list(enumerate_lassos(build_extended_game(chain_game), 0, 2, 2))
         assert LassoPlay((0,), (1,)) in lassos
 
     def test_self_loop_exact(self):
@@ -35,10 +36,11 @@ class TestEnumerateLassos:
             targets=[[]],
             initial="A",
         )
-        assert list(enumerate_lassos(g, 0, 1, 1)) == [LassoPlay((), (0,)), LassoPlay((0,), (0,))]
+        xg = build_extended_game(g)
+        assert list(enumerate_lassos(xg, 0, 1, 1)) == [LassoPlay((), (0,)), LassoPlay((0,), (0,))]
 
     def test_fork_shapes(self, fork_game):
-        lassos = set(enumerate_lassos(fork_game, 0, 3, 3))
+        lassos = set(enumerate_lassos(build_extended_game(fork_game), 0, 3, 3))
         # every lasso from A settles into the B or the C self-loop
         assert all(set(rho.cycle) in ({1}, {2}) for rho in lassos)
         assert LassoPlay((0,), (1,)) in lassos
@@ -47,28 +49,24 @@ class TestEnumerateLassos:
 
     def test_all_results_are_valid_lassos(self):
         for g in random_games(10, seed=73, max_vertices=4):
-            for rho in enumerate_lassos(g, g.initial, 3, 3):
-                assert not _violations(g, rho)
+            xg = build_extended_game(g)
+            for rho in enumerate_lassos(xg, xg.x0, 3, 3):
+                assert not lasso_violations(xg.game, rho)
 
     def test_cycles_are_simple(self, fork_game):
-        for rho in enumerate_lassos(fork_game, 0, 3, 3):
+        for rho in enumerate_lassos(build_extended_game(fork_game), 0, 3, 3):
             assert len(set(rho.cycle)) == len(rho.cycle)
 
     def test_simple_prefix_subset_of_full(self, chain_game):
-        full = set(enumerate_lassos(chain_game, 0, 3, 2))
-        simple = set(enumerate_lassos(chain_game, 0, 3, 2, simple_prefix=True))
+        xg = build_extended_game(chain_game)
+        full = set(enumerate_lassos(xg, 0, 3, 2))
+        simple = set(enumerate_lassos(xg, 0, 3, 2, simple_prefix=True))
         assert simple <= full
         assert all(len(set(rho.prefix)) == len(rho.prefix) for rho in simple)
 
     def test_bad_bounds_rejected(self, chain_game):
         with pytest.raises(ValueError):
-            list(enumerate_lassos(chain_game, 0, 1, 0))
-
-
-def _violations(g, rho):
-    from lassos import lasso_violations
-
-    return lasso_violations(g, rho)
+            list(enumerate_lassos(build_extended_game(chain_game), 0, 1, 0))
 
 
 class TestOracleLambdaStar:
@@ -176,7 +174,7 @@ class TestOracleSelfConsistency:
 
 
 def _decide_by_full_enumeration(xg, lam, c, max_prefix, max_cycle):
-    for rho in enumerate_lassos(xg.game, xg.x0, max_prefix, max_cycle):
+    for rho in enumerate_lassos(xg, xg.x0, max_prefix, max_cycle):
         p = gain_of_lasso(xg.game, rho)
         if c.admits(p) and is_consistent(xg, lam, rho):
             return True
