@@ -74,10 +74,6 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors pred
         return {m: tuple(vs) for m, vs in layers.items()}
 
     @cached_property
-    def base_vertex(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.origin)
-
-    @cached_property
     def game(self) -> FiniteGame:
         """The extended game as a named, lettered FiniteGame, built on first access.
 
@@ -108,9 +104,9 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors pred
 
     def project(self, rho: LassoPlay) -> LassoPlay:
         """Map a lasso over extended vertices back onto base vertices."""
-        bv = self.base_vertex
+        origin = self.origin
         return LassoPlay(
-            tuple(bv[v] for v in rho.prefix), tuple(bv[v] for v in rho.cycle)
+            tuple(origin[x][0] for x in rho.prefix), tuple(origin[x][0] for x in rho.cycle)
         )
 
 

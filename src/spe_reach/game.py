@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-from .errors import InputError
+from typing import Sequence
 
 
 def _mask(players: Sequence[int]) -> int:
@@ -148,75 +146,6 @@ class FiniteGame(namedtuple(
         for v, listed in players.items():
             masks[v] = _mask(listed)
         return tuple(masks)
-
-    @classmethod
-    def build(
-        cls,
-        *,
-        vertices: Sequence[str],
-        edges: Iterable[tuple[str, str, str]],
-        owner: Mapping[str, int],
-        targets: Sequence[Iterable[str]],
-        initial: str,
-        n_players: int | None = None,
-        alphabet: Sequence[str] | None = None,
-    ) -> "FiniteGame":
-        """Construct a game from vertex names, resolving all references.
-
-        Raises :class:`InputError` on duplicate or unknown names, an owner
-        outside the player range, or a letter outside the alphabet.
-        """
-        names = tuple(vertices)
-        index: dict[str, int] = {}
-        for i, name in enumerate(names):
-            if name in index:
-                raise InputError(f"duplicate vertex name '{name}'")
-            index[name] = i
-        n = len(targets) if n_players is None else n_players
-        if len(targets) != n:
-            raise InputError(f"expected {n} target sets, got {len(targets)}")
-
-        # a dict per row keeps the first declaration of each (letter, target)
-        rows: list[dict[tuple[str, int], None]] = [{} for _ in names]
-        letters: list[str] = []
-        for k, (src, letter, dst) in enumerate(edges):
-            try:
-                rows[index[src]][(letter, index[dst])] = None
-            except KeyError as miss:
-                raise InputError(f"edge {k}: unknown vertex '{miss.args[0]}'") from None
-            letters.append(letter)
-        if alphabet is None:
-            sigma = tuple(sorted(set(letters)))
-        else:
-            sigma = tuple(alphabet)
-            for letter in letters:
-                if letter not in sigma:
-                    raise InputError(f"edge letter '{letter}' not in the alphabet")
-        owners = []
-        for name in names:
-            if name not in owner:
-                raise InputError(f"vertex '{name}' has no owner")
-            player = owner[name]
-            if not 0 <= player < n:
-                raise InputError(f"vertex '{name}': owner {player} out of range for {n} players")
-            owners.append(player)
-        target_sets = []
-        for i, ts in enumerate(targets):
-            try:
-                target_sets.append(frozenset([index[name] for name in ts]))
-            except KeyError as miss:
-                raise InputError(f"targets[{i}]: unknown vertex '{miss.args[0]}'") from None
-        if initial not in index:
-            raise InputError(f"initial: unknown vertex '{initial}'")
-        return cls(
-            n_players=n,
-            alphabet=sigma,
-            vertex_names=names,
-            out_edges=tuple(map(tuple, rows)),
-            owner=tuple(owners),
-            targets=tuple(target_sets),
-            initial=index[initial],
-        )
 
 
 def validate_game(g: FiniteGame) -> list[str]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from .errors import InputError
 from .game import FiniteGame
@@ -60,48 +60,86 @@ def _string_list(obj: dict, key: str, where: str) -> list[str]:
     return values
 
 
+def _reject_edge(entry: Any, k: int, where: str, index: dict[str, int]) -> NoReturn:
+    """Raise the error for ``edges[k]``, which failed to resolve.
+
+    The checks run in the order the message should name them: the entry's
+    shape, its key types, its source and target names, then its letter.
+    """
+    if not isinstance(entry, dict):
+        raise InputError(f"{where}: edges[{k}] must be an object")
+    ctx = f"{where}: edges[{k}]"
+    src, letter, dst = (_get(entry, key, str, ctx) for key in ("from", "letter", "to"))
+    for name in (src, dst):
+        if name not in index:
+            raise InputError(f"{where}: edge {k}: unknown vertex '{name}'")
+    raise InputError(f"{where}: edge letter '{letter}' not in the alphabet")
+
+
 def load_finite_game(source) -> FiniteGame:
-    """Parse a finite game from a path or an already-decoded dict."""
+    """Parse a finite game from a path or an already-decoded dict.
+
+    One pass over the document checks its types and ranges and resolves
+    every vertex name to its index; the first fault found is reported.
+    """
     obj, where = _load_object(source)
     players = _get(obj, "players", int, where)
     if players < 1:
         raise InputError(f"{where}: 'players' must be a positive integer")
     alphabet = _string_list(obj, "alphabet", where)
-    vertices = []
-    owner = {}
+    names: list[str] = []
+    owners: list[int] = []
+    index: dict[str, int] = {}
     for k, entry in enumerate(_get(obj, "vertices", list, where)):
         if not isinstance(entry, dict):
             raise InputError(f"{where}: vertices[{k}] must be an object")
         name = _get(entry, "name", str, f"{where}: vertices[{k}]")
-        vertices.append(name)
-        owner[name] = _get(entry, "owner", int, f"{where}: vertices[{k}]")
-    edges = []
+        player = _get(entry, "owner", int, f"{where}: vertices[{k}]")
+        if name in index:
+            raise InputError(f"{where}: duplicate vertex name '{name}'")
+        if not 0 <= player < players:
+            raise InputError(
+                f"{where}: vertex '{name}': owner {player} out of range for {players} players"
+            )
+        index[name] = k
+        names.append(name)
+        owners.append(player)
+    letters = frozenset(alphabet)
+    # a dict per row keeps the first declaration of each (letter, target)
+    rows: list[dict[tuple[str, int], None]] = [{} for _ in names]
     for k, entry in enumerate(_get(obj, "edges", list, where)):
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: edges[{k}] must be an object")
-        ctx = f"{where}: edges[{k}]"
-        edges.append(
-            (_get(entry, "from", str, ctx), _get(entry, "letter", str, ctx), _get(entry, "to", str, ctx))
-        )
+        # the common case in one try; any fault is named on the slow path
+        try:
+            src, letter, dst = index[entry["from"]], entry["letter"], index[entry["to"]]
+            if letter in letters:
+                rows[src][(letter, dst)] = None
+                continue
+        except (KeyError, TypeError):
+            pass
+        _reject_edge(entry, k, where, index)
     targets = _get(obj, "targets", list, where)
     if len(targets) != players:
         raise InputError(f"{where}: expected {players} target lists, got {len(targets)}")
+    target_sets = []
     for i, ts in enumerate(targets):
         if not isinstance(ts, list) or any(not isinstance(v, str) for v in ts):
             raise InputError(f"{where}: targets[{i}] must be a list of vertex names")
+        try:
+            target_sets.append(frozenset([index[name] for name in ts]))
+        except KeyError as miss:
+            raise InputError(f"{where}: targets[{i}]: unknown vertex '{miss.args[0]}'") from None
     initial = _get(obj, "initial", str, where)
-    try:
-        return FiniteGame.build(
-            vertices=vertices,
-            edges=edges,
-            owner=owner,
-            targets=targets,
-            initial=initial,
-            n_players=players,
-            alphabet=alphabet,
-        )
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    if initial not in index:
+        raise InputError(f"{where}: initial: unknown vertex '{initial}'")
+    return FiniteGame(
+        n_players=players,
+        alphabet=tuple(alphabet),
+        vertex_names=tuple(names),
+        out_edges=tuple(map(tuple, rows)),
+        owner=tuple(owners),
+        targets=tuple(target_sets),
+        initial=index[initial],
+    )
 
 
 def dump_finite_game(g: FiniteGame) -> dict:

@@ -7,6 +7,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from spe_reach.fixpoint import _analysis
 from spe_reach.game import FiniteGame
+from spe_reach.jsonio import load_finite_game
+
+from documents import CHAIN_GAME, FORK_GAME
 
 
 @pytest.fixture(autouse=True)
@@ -19,23 +22,9 @@ def fresh_analysis_cache():
 
 @pytest.fixture
 def chain_game() -> FiniteGame:
-    """Two vertices, one player: A -> B, B -> B, target {B}."""
-    return FiniteGame.build(
-        vertices=["A", "B"],
-        edges=[("A", "a", "B"), ("B", "a", "B")],
-        owner={"A": 0, "B": 0},
-        targets=[["B"]],
-        initial="A",
-    )
+    return load_finite_game(CHAIN_GAME)
 
 
 @pytest.fixture
 def fork_game() -> FiniteGame:
-    """One player choosing between a winning sink B and a losing sink C."""
-    return FiniteGame.build(
-        vertices=["A", "B", "C"],
-        edges=[("A", "a", "B"), ("A", "a", "C"), ("B", "a", "B"), ("C", "a", "C")],
-        owner={"A": 0, "B": 0, "C": 0},
-        targets=[["B"]],
-        initial="A",
-    )
+    return load_finite_game(FORK_GAME)

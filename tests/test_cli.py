@@ -17,84 +17,8 @@ from spe_reach.game import ConstraintProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
 from spe_reach.oracle import oracle_outcomes
 
+from documents import FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA
 from generators import random_games
-
-FORK_GAME = {
-    "players": 1,
-    "alphabet": ["a"],
-    "vertices": [
-        {"name": "A", "owner": 0},
-        {"name": "B", "owner": 0},
-        {"name": "C", "owner": 0},
-    ],
-    "edges": [
-        {"from": "A", "letter": "a", "to": "B"},
-        {"from": "A", "letter": "a", "to": "C"},
-        {"from": "B", "letter": "a", "to": "B"},
-        {"from": "C", "letter": "a", "to": "C"},
-    ],
-    "targets": [["B"]],
-    "initial": "A",
-}
-
-ONE_CLOCK_PPTA = {
-    "players": 1,
-    "alphabet": ["a", "b"],
-    "clocks": ["c"],
-    "locations": [
-        {"name": "l0", "owner": 0},
-        {"name": "l1", "owner": 0},
-        {"name": "l2", "owner": 0},
-    ],
-    "transitions": [
-        {"from": "l0", "letter": "a", "guard": [{"clock": "c", "op": "le", "const": 1}], "reset": [], "to": "l1"},
-        {"from": "l0", "letter": "b", "guard": [{"clock": "c", "op": "gt", "const": 1}], "reset": [], "to": "l2"},
-        {"from": "l1", "letter": "a", "guard": [], "reset": [], "to": "l1"},
-        {"from": "l2", "letter": "b", "guard": [], "reset": [], "to": "l2"},
-    ],
-    "goals": [["l1"]],
-    "initial": "l0",
-}
-
-TWO_CLOCK_PPTA = {
-    "players": 2,
-    "alphabet": ["a", "b", "c"],
-    "clocks": ["x", "y"],
-    "locations": [
-        {"name": "l0", "owner": 0},
-        {"name": "l1", "owner": 1},
-        {"name": "l2", "owner": 0},
-    ],
-    "transitions": [
-        {"from": "l0", "letter": "a", "guard": [{"clock": "x", "op": "le", "const": 2}], "reset": ["y"], "to": "l1"},
-        {"from": "l0", "letter": "b", "guard": [{"clock": "x", "op": "gt", "const": 2}], "reset": [], "to": "l2"},
-        {"from": "l1", "letter": "a", "guard": [{"clock": "y", "op": "lt", "const": 1}], "reset": ["x"], "to": "l0"},
-        {"from": "l1", "letter": "b", "guard": [{"clock": "y", "op": "ge", "const": 1}], "reset": [], "to": "l2"},
-        {"from": "l2", "letter": "c", "guard": [], "reset": [], "to": "l2"},
-    ],
-    "goals": [["l2"], ["l1"]],
-    "initial": "l0",
-}
-
-ZERO_CLOCK_PPTA = {
-    "players": 1,
-    "alphabet": ["a"],
-    "clocks": [],
-    "locations": [
-        {"name": "A", "owner": 0},
-        {"name": "B", "owner": 0},
-        {"name": "C", "owner": 0},
-    ],
-    "transitions": [
-        {"from": "A", "letter": "a", "guard": [], "reset": [], "to": "B"},
-        {"from": "A", "letter": "a", "guard": [], "reset": [], "to": "C"},
-        {"from": "B", "letter": "a", "guard": [], "reset": [], "to": "B"},
-        {"from": "C", "letter": "a", "guard": [], "reset": [], "to": "C"},
-    ],
-    "goals": [["B"]],
-    "initial": "A",
-}
-
 
 @pytest.fixture
 def fork_file(tmp_path):

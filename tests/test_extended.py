@@ -5,7 +5,9 @@ import pytest
 from spe_reach.errors import InputError, SizeCapError
 from spe_reach.extended import build_extended_game
 from spe_reach.game import FiniteGame, LassoPlay
+from spe_reach.jsonio import load_finite_game
 
+from documents import CHAIN_GAME, LOOP_GAME
 from generators import random_games
 from lassos import gain_of_lasso, lift_lasso
 from reference_extended import adjacency_matches, reference_build_extended_game
@@ -21,13 +23,7 @@ def test_chain_game_structure(chain_game):
 
 
 def test_initial_vertex_in_target():
-    g = FiniteGame.build(
-        vertices=["A"],
-        edges=[("A", "a", "A")],
-        owner={"A": 0},
-        targets=[["A"]],
-        initial="A",
-    )
+    g = load_finite_game({**LOOP_GAME, "targets": [["A"]]})
     xg = build_extended_game(g)
     assert xg.origin[xg.x0] == (0, 1)
 
@@ -119,14 +115,14 @@ def lettered_game(rng: random.Random) -> FiniteGame:
     ]
     rng.shuffle(edges)
     edges += rng.sample(edges, min(2, len(edges)))
-    return FiniteGame.build(
-        vertices=names,
-        edges=edges,
-        owner={name: rng.randrange(players) for name in names},
-        targets=[[name for name in names if rng.random() < 0.3] for _ in range(players)],
-        initial=names[rng.randrange(n)],
-        alphabet=("a", "b"),
-    )
+    return load_finite_game({
+        "players": players,
+        "alphabet": ["a", "b"],
+        "vertices": [{"name": name, "owner": rng.randrange(players)} for name in names],
+        "edges": [{"from": src, "letter": letter, "to": dst} for src, letter, dst in edges],
+        "targets": [[name for name in names if rng.random() < 0.3] for _ in range(players)],
+        "initial": names[rng.randrange(n)],
+    })
 
 
 class TestMatchesReference:
@@ -166,13 +162,10 @@ class TestLiftLasso:
 
     def test_cycle_unrolls_until_satisfied_set_stabilizes(self):
         # the target sits mid-cycle, so the first pass differs from later ones
-        g = FiniteGame.build(
-            vertices=["A", "B"],
-            edges=[("A", "a", "B"), ("B", "a", "A")],
-            owner={"A": 0, "B": 0},
-            targets=[["B"]],
-            initial="A",
-        )
+        g = load_finite_game({
+            **CHAIN_GAME,
+            "edges": [{"from": "A", "letter": "a", "to": "B"}, {"from": "B", "letter": "a", "to": "A"}],
+        })
         xg = build_extended_game(g)
         lifted = lift_lasso(xg, LassoPlay((), (0, 1)))
         assert [xg.origin[x] for x in lifted.prefix] == [(0, 0)]

@@ -20,7 +20,9 @@ from spe_reach.fixpoint import (
     lambda_step,
 )
 from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
+from spe_reach.jsonio import load_finite_game
 
+from documents import FORK_GAME, LOOP_GAME
 from generators import all_constraints, game_from_successors, random_games
 from lassos import gain_of_lasso, is_consistent
 from reference_fixpoint import (
@@ -194,16 +196,16 @@ class TestLayeredStepMatchesReference:
         # bottom layer and cannot leave it. With U labeled 1, player 1 must
         # win through U, so the loop is consistent only for gains with
         # player 1 winning, and it never reaches a vertex of such a gain.
-        g = FiniteGame.build(
-            vertices=["I", "A", "W", "U", "B", "C"],
-            edges=[
-                ("I", "a", "A"), ("I", "a", "B"), ("A", "a", "W"), ("W", "a", "U"),
-                ("U", "a", "W"), ("B", "a", "C"), ("C", "a", "C"),
-            ],
-            owner={"I": 0, "A": 0, "W": 1, "U": 1, "B": 0, "C": 0},
-            targets=[["C"], ["B"]],
-            initial="I",
-        )
+        owner = {"I": 0, "A": 0, "W": 1, "U": 1, "B": 0, "C": 0}
+        edges = [("I", "A"), ("I", "B"), ("A", "W"), ("W", "U"), ("U", "W"), ("B", "C"), ("C", "C")]
+        g = load_finite_game({
+            "players": 2,
+            "alphabet": ["a"],
+            "vertices": [{"name": v, "owner": p} for v, p in owner.items()],
+            "edges": [{"from": src, "letter": "a", "to": dst} for src, dst in edges],
+            "targets": [["C"], ["B"]],
+            "initial": "I",
+        })
         xg = build_extended_game(g)
         assert sorted(set(xg.satisfied)) == [0b00, 0b10, 0b11]
         a, w, u = (_ext_index(xg, v, 0) for v in (1, 2, 3))
@@ -223,16 +225,18 @@ class TestLayeredStepMatchesReference:
         # layers {} = I, A; {0} = B; {0,1} = C, D. The full layer {0,1} has
         # no loser, so the step skips its search; labels of its vertices
         # and of their predecessors must still match the reference.
-        g = FiniteGame.build(
-            vertices=["I", "A", "B", "C", "D"],
-            edges=[
-                ("I", "a", "A"), ("I", "a", "B"), ("A", "a", "A"), ("A", "a", "C"),
-                ("B", "a", "C"), ("B", "a", "B"), ("C", "a", "D"), ("D", "a", "C"),
-            ],
-            owner={"I": 0, "A": 1, "B": 1, "C": 0, "D": 1},
-            targets=[["B", "C"], ["C"]],
-            initial="I",
-        )
+        owner = {"I": 0, "A": 1, "B": 1, "C": 0, "D": 1}
+        edges = [
+            ("I", "A"), ("I", "B"), ("A", "A"), ("A", "C"), ("B", "C"), ("B", "B"), ("C", "D"), ("D", "C"),
+        ]
+        g = load_finite_game({
+            "players": 2,
+            "alphabet": ["a"],
+            "vertices": [{"name": v, "owner": p} for v, p in owner.items()],
+            "edges": [{"from": src, "letter": "a", "to": dst} for src, dst in edges],
+            "targets": [["B", "C"], ["C"]],
+            "initial": "I",
+        })
         xg = build_extended_game(g)
         assert 0b11 in xg.layers
         lam = initial_labeling(xg)
@@ -324,13 +328,7 @@ class TestComputeLambdaStar:
         assert by_origin == {(0, 0): 1, (1, 1): 1, (2, 0): 0}
 
     def test_unreachable_target_all_zero(self):
-        g = FiniteGame.build(
-            vertices=["A"],
-            edges=[("A", "a", "A")],
-            owner={"A": 0},
-            targets=[[]],
-            initial="A",
-        )
+        g = load_finite_game(LOOP_GAME)
         xg = build_extended_game(g)
         lam, k = compute_lambda_star(xg)
         assert lam == (0,)
@@ -394,13 +392,12 @@ class TestDecide:
 
     def test_profile_scan_order_prefers_small_masks(self):
         # both sinks are reachable and permitted: the all-lose profile wins the tie
-        g = FiniteGame.build(
-            vertices=["A", "B", "C"],
-            edges=[("A", "a", "B"), ("A", "a", "C"), ("B", "a", "B"), ("C", "a", "C")],
-            owner={"A": 1, "B": 1, "C": 1},
-            targets=[["B"], []],
-            initial="A",
-        )
+        g = load_finite_game({
+            **FORK_GAME,
+            "players": 2,
+            "vertices": [{"name": v, "owner": 1} for v in "ABC"],
+            "targets": [["B"], []],
+        })
         d = decide_constrained_existence(g, ConstraintProfile.from_words(["any", "any"]))
         assert d.answer
         assert d.witness.gain.mask == 0

@@ -4,7 +4,8 @@ Arbitrary bytes, and small mutations of valid game and automaton files, are
 given to ``solve``, ``solve-timed`` and ``regions``. Each run must return
 0 (YES), 1 (NO), 2 (bad input) or 3 (size cap) and never raise: an uncaught
 exception would exit 1 with a traceback, which reads as "NO". The size cap
-is kept small so that no example can grow a large game.
+is kept small so that no example can grow a large game. A mutated finite
+game either fails to load or loads into a game whose names all resolved.
 """
 
 import copy
@@ -16,9 +17,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spe_reach.cli import ENV_MAX_EXT_VERTICES, main
+from spe_reach.errors import InputError
+from spe_reach.game import validate_game
+from spe_reach.jsonio import load_finite_game
 
-from test_cli import FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA
+from documents import (
+    CHAIN_GAME,
+    FORK_GAME,
+    LOOP_GAME,
+    ONE_CLOCK_PPTA,
+    TWO_CLOCK_PPTA,
+    ZERO_CLOCK_PPTA,
+)
 
+FINITE_DOCUMENTS = (FORK_GAME, CHAIN_GAME, LOOP_GAME)
 DOCUMENTS = (FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA)
 COMMANDS = (
     ["solve", "--witness", "--lambda"],
@@ -62,14 +74,19 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (i,))
 
 
+# values one step from a valid finite game: a player index just past either
+# end of the range, a known and an unknown name, a letter outside the alphabet
+near_misses = st.sampled_from((-1, 1, 2, "A", "Z", "b"))
+
+
 @st.composite
-def mutated_documents(draw):
+def mutated_documents(draw, documents=DOCUMENTS, values=json_values):
     """A valid document with one to three values replaced, deleted or duplicated."""
-    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
-            doc = draw(json_values)
+            doc = draw(values)
             continue
         parent = doc
         for step in path[:-1]:
@@ -77,7 +94,7 @@ def mutated_documents(draw):
         key = path[-1]
         action = draw(st.sampled_from(("replace", "delete", "duplicate")))
         if action == "replace":
-            parent[key] = draw(json_values)
+            parent[key] = draw(values)
         elif action == "delete":
             del parent[key]
         elif isinstance(parent, list):
@@ -115,3 +132,22 @@ def test_any_bytes(input_path, data):
 @given(data=mutated_documents())
 def test_mutated_documents(input_path, data):
     _run_all(input_path, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_documents(FINITE_DOCUMENTS, near_misses | json_values))
+def test_mutated_games_load_resolved_or_not_at_all(input_path, data):
+    # the loader is the only code that resolves names: what it accepts must
+    # pass every range check of validate_game, and what it rejects, solve
+    # rejects with the loader's message alone
+    input_path.write_bytes(data)
+    try:
+        g = load_finite_game(input_path)
+    except InputError as exc:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["solve", str(input_path), "--witness", "--lambda"])
+        assert (status, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n")
+    else:
+        for problem in validate_game(g):
+            assert problem == "game has no vertices" or problem.endswith("(blocking)"), (problem, data)

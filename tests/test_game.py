@@ -15,7 +15,9 @@ from spe_reach.game import (
     LassoPlay,
     validate_game,
 )
+from spe_reach.jsonio import load_finite_game
 
+from documents import CHAIN_GAME, FORK_GAME, LOOP_GAME
 from generators import random_games
 from lassos import InvalidLassoError, gain_of_lasso, lasso_violations
 
@@ -61,13 +63,14 @@ class TestConstraintProfile:
 
         def scanned(edges, words):
             tried.clear()
-            g = FiniteGame.build(
-                vertices=["I", "A", "B"],
-                edges=[(src, "a", dst) for src, dst in edges],
-                owner={"I": 0, "A": 0, "B": 1},
-                targets=[["A"], ["B"]],
-                initial="I",
-            )
+            g = load_finite_game({
+                "players": 2,
+                "alphabet": ["a"],
+                "vertices": [{"name": "I", "owner": 0}, {"name": "A", "owner": 0}, {"name": "B", "owner": 1}],
+                "edges": [{"from": src, "letter": "a", "to": dst} for src, dst in edges],
+                "targets": [["A"], ["B"]],
+                "initial": "I",
+            })
             assert not fixpoint.decide_constrained_existence(g, ConstraintProfile.from_words(words)).answer
             return list(tried)
 
@@ -181,14 +184,9 @@ class TestValidateGame:
         assert any("owner 3" in line for line in validate_game(g))
 
     def test_build_rejects_unknown_vertex(self):
-        with pytest.raises(InputError, match="unknown vertex"):
-            FiniteGame.build(
-                vertices=["A"],
-                edges=[("A", "a", "Z")],
-                owner={"A": 0},
-                targets=[[]],
-                initial="A",
-            )
+        loop = {**LOOP_GAME, "edges": [{"from": "A", "letter": "a", "to": "Z"}]}
+        with pytest.raises(InputError, match="^<input>: edge 0: unknown vertex 'Z'$"):
+            load_finite_game(loop)
 
     @pytest.mark.parametrize(
         "edges, targets, initial, message",
@@ -202,18 +200,54 @@ class TestValidateGame:
             # edges are resolved before targets, targets before the initial vertex
             ([("A", "a", "Y")], [["X"], []], "Z", "edge 0: unknown vertex 'Y'"),
             ([("A", "a", "B")], [["X"], []], "Z", "targets[0]: unknown vertex 'X'"),
+            ([("A", "b", "B")], [[], []], "A", "edge letter 'b' not in the alphabet"),
+            ([("A", "a", "B")], [["A"]], "A", "expected 2 target lists, got 1"),
+            # one pass: each edge is checked in full, names and letter
+            # included, before the next edge, the targets or the initial
+            # vertex are read
+            ([("A", "b", "B"), ("A", "a", "Z")], [[], []], "A", "edge letter 'b' not in the alphabet"),
+            ([("A", "a", "Z"), ("A", "a", 3)], [[], []], "A", "edge 0: unknown vertex 'Z'"),
+            ([("A", "a", "Z")], [[], "B"], 5, "edge 0: unknown vertex 'Z'"),
+            ([("A", 3, "B")], [[], []], "A", "edges[0]: key 'letter' has the wrong type"),
         ],
     )
     def test_build_names_the_unknown_reference(self, edges, targets, initial, message):
         with pytest.raises(InputError) as excinfo:
-            FiniteGame.build(
-                vertices=["A", "B"],
-                edges=edges,
-                owner={"A": 0, "B": 1},
-                targets=targets,
-                initial=initial,
-            )
-        assert str(excinfo.value) == message
+            load_finite_game({
+                "players": 2,
+                "alphabet": ["a"],
+                "vertices": [{"name": "A", "owner": 0}, {"name": "B", "owner": 1}],
+                "edges": [{"from": src, "letter": letter, "to": dst} for src, letter, dst in edges],
+                "targets": targets,
+                "initial": initial,
+            })
+        assert str(excinfo.value) == f"<input>: {message}"
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([("A", 0), ("B", 1), ("A", 1)], "duplicate vertex name 'A'"),
+            ([("A", 0), ("B", 2)], "vertex 'B': owner 2 out of range for 2 players"),
+            ([("A", -1), ("B", 1)], "vertex 'A': owner -1 out of range for 2 players"),
+            # each vertex is checked in full before the next one is read,
+            # and every vertex before the first edge
+            ([("A", 0), ("A", 1), ("B", "1")], "duplicate vertex name 'A'"),
+            ([("A", 0), ("B", 2), ("C", "1")], "vertex 'B': owner 2 out of range for 2 players"),
+            ([("A", 0), ("C", 2)], "vertex 'C': owner 2 out of range for 2 players"),
+            ([("A", 0), ("B", "1"), ("A", 1)], "vertices[1]: key 'owner' has the wrong type"),
+        ],
+    )
+    def test_load_names_the_bad_vertex(self, vertices, message):
+        with pytest.raises(InputError) as excinfo:
+            load_finite_game({
+                "players": 2,
+                "alphabet": ["a"],
+                "vertices": [{"name": name, "owner": player} for name, player in vertices],
+                "edges": [{"from": "A", "letter": "a", "to": "B"}],
+                "targets": [[], []],
+                "initial": "A",
+            })
+        assert str(excinfo.value) == f"<input>: {message}"
 
 
 class TestGainOfLasso:
@@ -228,13 +262,7 @@ class TestGainOfLasso:
             gain_of_lasso(chain_game, rho)
 
     def test_empty_target_set(self):
-        g = FiniteGame.build(
-            vertices=["A"],
-            edges=[("A", "a", "A")],
-            owner={"A": 0},
-            targets=[[]],
-            initial="A",
-        )
+        g = load_finite_game(LOOP_GAME)
         assert gain_of_lasso(g, LassoPlay((), (0,))).bits == (0,)
 
     def test_gain_matches_visited_set(self):
@@ -278,14 +306,14 @@ def _random_lasso(g, rng, prefix_len: int = 3, cycle_len: int = 3) -> LassoPlay:
 
 
 def test_multi_edges_collapse_to_one_successor():
-    g = FiniteGame.build(
-        vertices=["A", "B"],
-        edges=[("A", "a", "B"), ("A", "b", "B"), ("B", "a", "B")],
-        owner={"A": 0, "B": 0},
-        targets=[["B"]],
-        initial="A",
-        alphabet=["a", "b"],
-    )
+    g = load_finite_game({
+        **CHAIN_GAME,
+        "alphabet": ["a", "b"],
+        "edges": [
+            {"from": src, "letter": letter, "to": dst}
+            for src, letter, dst in [("A", "a", "B"), ("A", "b", "B"), ("B", "a", "B")]
+        ],
+    })
     assert g.out_edges[0] == (("a", 1), ("b", 1))
     assert build_extended_game(g).successors[0] == (1,)
     assert gain_of_lasso(g, LassoPlay((0,), (1,))).bits == (1,)
@@ -359,13 +387,7 @@ class TestRecords:
                 setattr(record, field, getattr(record, field))
 
     def test_values_compare_and_hash_by_their_fields(self, fork_game):
-        twin = FiniteGame.build(
-            vertices=["A", "B", "C"],
-            edges=[("A", "a", "B"), ("A", "a", "C"), ("B", "a", "B"), ("C", "a", "C")],
-            owner={"A": 0, "B": 0, "C": 0},
-            targets=[["B"]],
-            initial="A",
-        )
+        twin = load_finite_game(FORK_GAME)
         ours = _solver_records(fork_game)
         fixpoint._analysis.cache_clear()  # else the twin gets the same analysis back
         theirs = _solver_records(twin)

@@ -11,6 +11,7 @@ from spe_reach.fixpoint import (
     exists_consistent_play,
 )
 from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
+from spe_reach.jsonio import load_finite_game
 from spe_reach.oracle import (
     ORACLE_MAX_EXT_VERTICES,
     OracleLimitError,
@@ -18,6 +19,7 @@ from spe_reach.oracle import (
     oracle_outcomes,
 )
 
+from documents import LOOP_GAME
 from generators import all_constraints, dense_small_games, exhaustive_grid, random_games
 from lassos import enumerate_lassos, gain_of_lasso, is_consistent, lasso_violations
 
@@ -29,13 +31,7 @@ class TestEnumerateLassos:
         assert LassoPlay((0,), (1,)) in lassos
 
     def test_self_loop_exact(self):
-        g = FiniteGame.build(
-            vertices=["A"],
-            edges=[("A", "a", "A")],
-            owner={"A": 0},
-            targets=[[]],
-            initial="A",
-        )
+        g = load_finite_game(LOOP_GAME)
         xg = build_extended_game(g)
         assert list(enumerate_lassos(xg, 0, 1, 1)) == [LassoPlay((), (0,)), LassoPlay((0,), (0,))]
 
@@ -80,13 +76,7 @@ class TestOracleLambdaStar:
         assert oracle_lambda_star(xg) == lam
 
     def test_empty_targets(self):
-        g = FiniteGame.build(
-            vertices=["A"],
-            edges=[("A", "a", "A")],
-            owner={"A": 0},
-            targets=[[]],
-            initial="A",
-        )
+        g = load_finite_game(LOOP_GAME)
         assert oracle_lambda_star(build_extended_game(g)) == (0,)
 
     def test_matches_solver_on_random_games(self):

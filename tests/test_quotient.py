@@ -2,8 +2,10 @@ import pytest
 
 from spe_reach.errors import InputError
 from spe_reach.fixpoint import decide_constrained_existence
-from spe_reach.game import FiniteGame, validate_game
+from spe_reach.game import validate_game
+from spe_reach.jsonio import load_finite_game
 
+from documents import FORK_GAME
 from generators import all_constraints, clone_game, random_games
 from quotient import (
     EquivalenceMap,
@@ -33,13 +35,14 @@ class TestCheckers:
         assert check_bisimulation(fork_game, eq)
 
     def test_mixed_owners_fail_partition(self):
-        g = FiniteGame.build(
-            vertices=["A", "B"],
-            edges=[("A", "a", "B"), ("B", "a", "A")],
-            owner={"A": 0, "B": 1},
-            targets=[[], []],
-            initial="A",
-        )
+        g = load_finite_game({
+            "players": 2,
+            "alphabet": ["a"],
+            "vertices": [{"name": "A", "owner": 0}, {"name": "B", "owner": 1}],
+            "edges": [{"from": "A", "letter": "a", "to": "B"}, {"from": "B", "letter": "a", "to": "A"}],
+            "targets": [[], []],
+            "initial": "A",
+        })
         eq = EquivalenceMap((0, 0))
         assert not check_respects_partition(g, eq)
 
@@ -57,13 +60,13 @@ class TestCheckers:
             assert check_bisimulation(clone, eq)
 
     def test_missing_letter_fails_bisimulation(self):
-        g = FiniteGame.build(
-            vertices=["A", "B", "C"],
-            edges=[("A", "a", "C"), ("A", "b", "C"), ("B", "a", "C"), ("C", "a", "C")],
-            owner={"A": 0, "B": 0, "C": 0},
-            targets=[[]],
-            initial="A",
-        )
+        edges = [("A", "a", "C"), ("A", "b", "C"), ("B", "a", "C"), ("C", "a", "C")]
+        g = load_finite_game({
+            **FORK_GAME,
+            "alphabet": ["a", "b"],
+            "edges": [{"from": src, "letter": letter, "to": dst} for src, letter, dst in edges],
+            "targets": [[]],
+        })
         eq = EquivalenceMap((0, 0, 1))  # A has a b-edge, B does not
         assert not check_bisimulation(g, eq)
 
