@@ -41,7 +41,7 @@ from .jsonio import dump_finite_game, load_finite_game, load_ppta
 
 _TIMED_NAMES = frozenset((
     "ClockRegion", "GuardAtom", "PPTA", "RegionGame", "Transition", "build_region_game",
-    "describe_region", "guard_sat_region", "reset_region", "validate_ppta",
+    "describe_region", "guard_sat_region", "reset_region",
 ))
 
 
@@ -86,5 +86,4 @@ __all__ = [
     "load_ppta",
     "reset_region",
     "validate_game",
-    "validate_ppta",
 ]

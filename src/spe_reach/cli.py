@@ -250,12 +250,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return args.status
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (SizeCapError, InputError) as exc:
+        # one line whatever the message quotes: escape what would break it
+        line = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in str(exc))
+        print(f"error: {line}", file=sys.stderr)
+        return 3 if isinstance(exc, SizeCapError) else 2
 
 
 def entry() -> None:

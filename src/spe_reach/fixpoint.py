@@ -84,19 +84,18 @@ def cores(xg: ExtendedGame, lam: Labeling) -> bytes:
 
 
 def exists_consistent_play(
-    xg: ExtendedGame, lam: Labeling, start: int, p: GainProfile, core: bytes | None = None
+    xg: ExtendedGame, lam: Labeling, start: int, p: GainProfile, core: bytes
 ) -> LassoPlay | None:
     """Find a lam-consistent lasso from start with gain profile exactly p.
 
     Such a play ends in the :func:`_core` of layer p (satisfied set p) and
     never leaves the down-set of p. ``core`` is :func:`cores` of lam, which
-    :class:`Analysis` computes once per game; given None, it is computed
-    here. A forward search from start walks the usable vertices: those whose
-    satisfied set lies within p and that are no loser's label-1 vertex.
-    Winners need no further check, because suffix gains of a winning player
-    hold at every position. The witness is deterministic: shortest path to
-    the first core vertex found, then the first cycle along least-index core
-    successors.
+    :class:`Analysis` computes once per game. A forward search from start
+    walks the usable vertices: those whose satisfied set lies within p and
+    that are no loser's label-1 vertex. Winners need no further check,
+    because suffix gains of a winning player hold at every position. The
+    witness is deterministic: shortest path to the first core vertex found,
+    then the first cycle along least-index core successors.
     """
     n = xg.n_vertices
     if not 0 <= start < n:
@@ -110,8 +109,6 @@ def exists_consistent_play(
     sat, owner, succ = xg.satisfied, xg.owner, xg.successors
     if sat[start] & lose or lam[start] and lose >> owner[start] & 1:
         return None
-    if core is None:
-        core = cores(xg, lam)
     goal: int | None = start if core[start] and sat[start] == m else None
     parent: dict[int, int | None] = {start: None}
     if goal is None:

@@ -93,8 +93,11 @@ def load_finite_game(source) -> FiniteGame:
     for k, entry in enumerate(_get(obj, "vertices", list, where)):
         if not isinstance(entry, dict):
             raise InputError(f"{where}: vertices[{k}] must be an object")
-        name = _get(entry, "name", str, f"{where}: vertices[{k}]")
-        player = _get(entry, "owner", int, f"{where}: vertices[{k}]")
+        name, player = entry.get("name"), entry.get("owner")
+        if not isinstance(name, str) or isinstance(player, bool) or not isinstance(player, int):
+            # a type fault: _get names it, checking the name first
+            _get(entry, "name", str, f"{where}: vertices[{k}]")
+            _get(entry, "owner", int, f"{where}: vertices[{k}]")
         if name in index:
             raise InputError(f"{where}: duplicate vertex name '{name}'")
         if not 0 <= player < players:
@@ -162,7 +165,7 @@ def dump_finite_game(g: FiniteGame) -> dict:
 def load_ppta(source) -> PPTA:
     """Parse a player-partitioned timed automaton from a path or dict."""
     # imported here so that loading a finite game leaves the timed module out
-    from .timed import COMPARATORS, GuardAtom, PPTA, Transition, validate_ppta
+    from .timed import GuardAtom, PPTA, Transition
 
     obj, where = _load_object(source)
     players = _get(obj, "players", int, where)
@@ -207,12 +210,12 @@ def load_ppta(source) -> PPTA:
                 raise InputError(f"{ctx}: guard[{j}] must be an object")
             actx = f"{ctx}: guard[{j}]"
             op = _get(atom, "op", str, actx)
-            if op not in COMPARATORS:
-                raise InputError(f"{actx}: unknown comparator '{op}'")
             const = _get(atom, "const", int, actx)
-            if const < 0:
-                raise InputError(f"{actx}: guard constant must be a natural number")
-            atoms.append(GuardAtom(clock(_get(atom, "clock", str, actx), actx), op, const))
+            clock_id = clock(_get(atom, "clock", str, actx), actx)
+            try:
+                atoms.append(GuardAtom(clock_id, op, const))
+            except ValueError as exc:
+                raise InputError(f"{actx}: {exc}") from exc
         resets = frozenset(
             clock(name, ctx) for name in _string_list(entry, "reset", ctx)
         )
@@ -233,17 +236,17 @@ def load_ppta(source) -> PPTA:
         if not isinstance(gs, list) or any(not isinstance(v, str) for v in gs):
             raise InputError(f"{where}: goals[{i}] must be a list of location names")
         goals.append(frozenset(location(name, f"{where}: goals[{i}]") for name in gs))
-    automaton = PPTA(
-        n_players=players,
-        alphabet=tuple(alphabet),
-        clock_names=tuple(clocks),
-        location_names=tuple(locations),
-        owners=tuple(owners),
-        transitions=tuple(transitions),
-        goals=tuple(goals),
-        initial=location(_get(obj, "initial", str, where), where),
-    )
-    problems = validate_ppta(automaton)
-    if problems:
-        raise InputError(f"{where}: {problems[0]}")
-    return automaton
+    initial = location(_get(obj, "initial", str, where), where)
+    try:
+        return PPTA(
+            n_players=players,
+            alphabet=tuple(alphabet),
+            clock_names=tuple(clocks),
+            location_names=tuple(locations),
+            owners=tuple(owners),
+            transitions=tuple(transitions),
+            goals=tuple(goals),
+            initial=initial,
+        )
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from exc

@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DeadlockedRegionError, InputError, SizeCapError
+from .errors import DeadlockedRegionError, SizeCapError
 from .game import FiniteGame
 
 COMPARATORS = ("le", "lt", "eq", "gt", "ge")
@@ -42,7 +42,7 @@ class GuardAtom(namedtuple("GuardAtom", "clock op const")):
 
     def __new__(cls, clock: int, op: str, const: int) -> "GuardAtom":
         if op not in COMPARATORS:
-            raise ValueError(f"unknown comparator {op!r}")
+            raise ValueError(f"unknown comparator '{op}'")
         if not isinstance(const, int) or isinstance(const, bool) or const < 0:
             raise ValueError(f"guard constant must be a natural number, got {const!r}")
         if clock < 0:
@@ -72,8 +72,46 @@ class PPTA(namedtuple(
     tuples of strings, ``owners[l]`` is a player index, ``goals`` holds one
     frozenset of location ids per player and ``initial`` is a location id.
     The cached views keep an instance ``__dict__``, so this record has no
-    ``__slots__``.
+    ``__slots__``. Construction checks that every id is in range and every
+    letter is in the alphabet, and raises ``ValueError`` on the first fault.
     """
+
+    # namedtuple's _make (and so _replace) skips __new__; this one checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(
+        cls, n_players, alphabet, clock_names, location_names, owners, transitions, goals, initial
+    ) -> "PPTA":
+        nl, nc = len(location_names), len(clock_names)
+        if nl == 0:
+            raise ValueError("automaton has no locations")
+        if len(owners) != nl:
+            raise ValueError(f"owner map covers {len(owners)} of {nl} locations")
+        for name, player in zip(location_names, owners):
+            if not 0 <= player < n_players:
+                raise ValueError(f"location '{name}': owner {player} out of range")
+        if len(goals) != n_players:
+            raise ValueError(f"expected {n_players} goal sets, got {len(goals)}")
+        for i, gs in enumerate(goals):
+            for loc in sorted(gs):
+                if not 0 <= loc < nl:
+                    raise ValueError(f"goals[{i}] contains unknown location id {loc}")
+        if not 0 <= initial < nl:
+            raise ValueError(f"initial location id {initial} out of range")
+        for k, t in enumerate(transitions):
+            if not 0 <= t.source < nl or not 0 <= t.target < nl:
+                raise ValueError(f"transition {k} references an unknown location id")
+            if t.letter not in alphabet:
+                raise ValueError(f"transition {k}: letter '{t.letter}' not in the alphabet")
+            for atom in t.guard:
+                if not 0 <= atom.clock < nc:
+                    raise ValueError(f"transition {k}: guard uses unknown clock id {atom.clock}")
+            for c in sorted(t.resets):
+                if not 0 <= c < nc:
+                    raise ValueError(f"transition {k}: reset uses unknown clock id {c}")
+        return super().__new__(
+            cls, n_players, alphabet, clock_names, location_names, owners, transitions, goals, initial
+        )
 
     @property
     def n_clocks(self) -> int:
@@ -98,42 +136,6 @@ class PPTA(namedtuple(
         for t in self.transitions:
             buckets[t.source].append(t)
         return tuple(tuple(b) for b in buckets)
-
-
-def validate_ppta(a: PPTA) -> list[str]:
-    """Report structural violations; an empty report means a is well formed."""
-    problems: list[str] = []
-    nl, nc, n = a.n_locations, a.n_clocks, a.n_players
-    if nl == 0:
-        return ["automaton has no locations"]
-    if len(a.owners) != nl:
-        problems.append(f"owner map covers {len(a.owners)} of {nl} locations")
-    else:
-        for loc, player in enumerate(a.owners):
-            if not 0 <= player < n:
-                problems.append(
-                    f"location '{a.location_names[loc]}': owner {player} out of range"
-                )
-    if len(a.goals) != n:
-        problems.append(f"expected {n} goal sets, got {len(a.goals)}")
-    for i, gs in enumerate(a.goals[:n]):
-        for loc in sorted(gs):
-            if not 0 <= loc < nl:
-                problems.append(f"goals[{i}] contains unknown location id {loc}")
-    if not 0 <= a.initial < nl:
-        problems.append(f"initial location id {a.initial} out of range")
-    for k, t in enumerate(a.transitions):
-        if not 0 <= t.source < nl or not 0 <= t.target < nl:
-            problems.append(f"transition {k} references an unknown location id")
-        if t.letter not in a.alphabet:
-            problems.append(f"transition {k}: letter '{t.letter}' not in the alphabet")
-        for atom in t.guard:
-            if not 0 <= atom.clock < nc:
-                problems.append(f"transition {k}: guard uses unknown clock id {atom.clock}")
-        for c in sorted(t.resets):
-            if not 0 <= c < nc:
-                problems.append(f"transition {k}: reset uses unknown clock id {c}")
-    return problems
 
 
 class ClockRegion(namedtuple("ClockRegion", "maxima intervals frac_order")):
@@ -285,9 +287,6 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
     chain, so vertices come out in that order, and each vertex's
     ``out_edges`` row is its moves in that order, each once.
     """
-    problems = validate_ppta(a)
-    if problems:
-        raise InputError(problems[0])
     regions: list[ClockRegion] = []
     region_id: dict[ClockRegion, int] = {}
     successor: dict[int, int | None] = {}

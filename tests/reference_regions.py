@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from spe_reach.errors import DeadlockedRegionError, InputError, SizeCapError
+from spe_reach.errors import DeadlockedRegionError, SizeCapError
 from spe_reach.game import FiniteGame
 from spe_reach.timed import (
     PPTA,
@@ -21,7 +21,6 @@ from spe_reach.timed import (
     describe_region,
     guard_sat_region,
     reset_region,
-    validate_ppta,
 )
 
 from clock_samples import time_successors
@@ -38,9 +37,6 @@ def reference_build_region_game(
     after resets. A reachable pair with no edge at all blocks the arena and
     is reported as an error.
     """
-    problems = validate_ppta(a)
-    if problems:
-        raise InputError(problems[0])
     start = (a.initial, ClockRegion.zero(a.maxima))
     order: dict[tuple[int, ClockRegion], int] = {start: 0}
     pairs: list[tuple[int, ClockRegion]] = [start]

@@ -213,6 +213,23 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, document, edit", [
+        ("solve", FORK_GAME, lambda doc, name: doc["vertices"].extend([{"name": name, "owner": 0}] * 2)),
+        ("solve", FORK_GAME, lambda doc, name: doc["edges"][0].update(letter=name)),
+        ("solve-timed", ONE_CLOCK_PPTA, lambda doc, name: doc["locations"].extend([{"name": name, "owner": 0}] * 2)),
+    ], ids=["vertex", "letter", "location"])
+    def test_quoted_control_characters_keep_one_error_line(self, command, document, edit, tmp_path, capsys):
+        # a duplicate vertex, an unknown letter, a duplicate location
+        doc = json.loads(json.dumps(document))
+        edit(doc, "q\n\r\x1b")
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+        assert "'q\\n\\r\\x1b'" in err
+
     def test_module_entry_point(self, fork_file):
         src = Path(spe_reach.__file__).parent.parent
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

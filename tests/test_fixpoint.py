@@ -44,7 +44,7 @@ def _ext_index(xg, base_vertex, mask):
 
 def _play(xg, lam, start, mask):
     """exists_consistent_play as the (prefix, cycle) pair the reference returns."""
-    rho = exists_consistent_play(xg, lam, start, GainProfile(mask, xg.n_players))
+    rho = exists_consistent_play(xg, lam, start, GainProfile(mask, xg.n_players), cores(xg, lam))
     return None if rho is None else (rho.prefix, rho.cycle)
 
 
@@ -77,13 +77,13 @@ class TestExistsConsistentPlay:
     def test_pruned_start_means_absent(self, fork_ext):
         lam, _ = compute_lambda_star(fork_ext)
         assert (
-            exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(0, 1))
+            exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(0, 1), cores(fork_ext, lam))
             is None
         )
 
     def test_winning_profile_found(self, fork_ext):
         lam, _ = compute_lambda_star(fork_ext)
-        rho = exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(1, 1))
+        rho = exists_consistent_play(fork_ext, lam, fork_ext.x0, GainProfile(1, 1), cores(fork_ext, lam))
         assert rho == LassoPlay(
             (_ext_index(fork_ext, 0, 0),), (_ext_index(fork_ext, 1, 1),)
         )
@@ -92,20 +92,21 @@ class TestExistsConsistentPlay:
         xg = build_extended_game(chain_game)
         lam = initial_labeling(xg)
         b = _ext_index(xg, 1, 1)
-        assert exists_consistent_play(xg, lam, b, GainProfile(0, 1)) is None
+        assert exists_consistent_play(xg, lam, b, GainProfile(0, 1), cores(xg, lam)) is None
 
     def test_bad_start_rejected(self, fork_ext):
         lam = initial_labeling(fork_ext)
         with pytest.raises(ValueError, match="start"):
-            exists_consistent_play(fork_ext, lam, 99, GainProfile(1, 1))
+            exists_consistent_play(fork_ext, lam, 99, GainProfile(1, 1), cores(fork_ext, lam))
 
     def test_witness_properties_on_random_games(self):
         for g in random_games(40, seed=41):
             xg = build_extended_game(g)
             lam, _ = compute_lambda_star(xg)
+            core = cores(xg, lam)
             for mask in range(1 << g.n_players):
                 p = GainProfile(mask, g.n_players)
-                rho = exists_consistent_play(xg, lam, xg.x0, p)
+                rho = exists_consistent_play(xg, lam, xg.x0, p, core)
                 if rho is not None:
                     assert gain_of_lasso(xg.game, rho) == p
                     assert is_consistent(xg, lam, rho)
@@ -143,9 +144,10 @@ class TestLambdaStep:
             xg = build_extended_game(g)
             lam = initial_labeling(xg)
             while True:
+                core = cores(xg, lam)
                 for v in range(xg.game.n_vertices):
                     assert any(
-                        exists_consistent_play(xg, lam, v, GainProfile(m, g.n_players))
+                        exists_consistent_play(xg, lam, v, GainProfile(m, g.n_players), core)
                         is not None
                         for m in range(1 << g.n_players)
                     )
@@ -213,7 +215,7 @@ class TestLayeredStepMatchesReference:
         m = 0b10
         assert reference_surviving(xg, lam, m)[w]
         assert not reference_sources(xg, lam, m)[w]
-        assert exists_consistent_play(xg, lam, w, GainProfile(m, 2)) is None
+        assert exists_consistent_play(xg, lam, w, GainProfile(m, 2), cores(xg, lam)) is None
         # counting W as a start of gain {1} would let player 0 lose from A's
         # only successor and keep A at 0
         new = lambda_step(xg, lam)
@@ -288,7 +290,6 @@ class TestCores:
             p = GainProfile(m, xg.n_players)
             for v in range(xg.n_vertices):
                 rho = exists_consistent_play(xg, lam, v, p, core)
-                assert rho == exists_consistent_play(xg, lam, v, p)
                 pair = None if rho is None else (rho.prefix, rho.cycle)
                 assert pair == reference_consistent_play(xg, lam, v, p)
 

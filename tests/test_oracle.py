@@ -134,7 +134,7 @@ class TestOracleDecide:
             found = {
                 GainProfile(m, g.n_players)
                 for m in xg.layers
-                if exists_consistent_play(xg, a.lambda_star, xg.x0, GainProfile(m, g.n_players))
+                if exists_consistent_play(xg, a.lambda_star, xg.x0, GainProfile(m, g.n_players), a.core)
                 is not None
             }
             assert oracle_outcomes(xg) == found

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spe_reach.errors import DeadlockedRegionError, InputError, SizeCapError
+from spe_reach.errors import DeadlockedRegionError, SizeCapError
 from spe_reach.extended import build_extended_game
 from spe_reach.fixpoint import decide_constrained_existence
 from spe_reach.game import ConstraintProfile, validate_game
@@ -19,7 +19,6 @@ from spe_reach.timed import (
     describe_region,
     guard_sat_region,
     reset_region,
-    validate_ppta,
 )
 
 from clock_samples import (
@@ -333,6 +332,11 @@ def zero_clock_fork_ppta() -> PPTA:
     )
 
 
+def _with_transition(t: Transition) -> PPTA:
+    a = zero_clock_fork_ppta()
+    return a._replace(transitions=a.transitions + (t,))
+
+
 class TestTimedRecords:
     @pytest.mark.parametrize("make, message", [
         (lambda: GuardAtom(0, "ne", 1), "unknown comparator 'ne'"),
@@ -355,6 +359,19 @@ class TestTimedRecords:
         (lambda: ClockRegion.zero([1])._replace(intervals=(5,)), r"interval index 5 outside \[0, 3\]"),
         (lambda: ClockRegion.zero([1])._replace(frac_order=(frozenset(),)), "fractional order must not contain empty"),
         (lambda: ClockRegion.zero([1])._replace(intervals=(1,)), "fractional order must list each"),
+        # a PPTA reports its first fault; the fork has locations A, B, C, one
+        # player, letter a and no clocks
+        (lambda: zero_clock_fork_ppta()._replace(location_names=()), "automaton has no locations"),
+        (lambda: zero_clock_fork_ppta()._replace(owners=(0, 0)), "owner map covers 2 of 3 locations"),
+        (lambda: zero_clock_fork_ppta()._replace(owners=(0, 1, 0)), "location 'B': owner 1 out of range"),
+        (lambda: zero_clock_fork_ppta()._replace(owners=(0, -1, 1), initial=9), "'B': owner -1 out of"),
+        (lambda: zero_clock_fork_ppta()._replace(goals=()), "expected 1 goal sets, got 0"),
+        (lambda: zero_clock_fork_ppta()._replace(goals=(frozenset({5, 3}),)), r"goals\[0\] contains unknown location id 3"),
+        (lambda: zero_clock_fork_ppta()._replace(initial=-1), "initial location id -1 out of range"),
+        (lambda: _with_transition(Transition(0, "a", (), frozenset(), 3)), "transition 4 references an unknown location id"),
+        (lambda: _with_transition(Transition(0, "b", (), frozenset(), 1)), "transition 4: letter 'b' not in the alphabet"),
+        (lambda: _with_transition(Transition(0, "a", (GuardAtom(0, "le", 1),), frozenset(), 1)), "transition 4: guard uses unknown clock id 0"),
+        (lambda: _with_transition(Transition(0, "a", (), frozenset({2, 1}), 1)), "transition 4: reset uses unknown clock id 1"),
     ])
     def test_bad_values_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -489,19 +506,17 @@ class TestBuildRegionGame:
         )
 
     def test_invalid_ppta_rejected(self):
-        a = PPTA(
-            n_players=1,
-            alphabet=("a",),
-            clock_names=(),
-            location_names=("l",),
-            owners=(4,),
-            transitions=(Transition(0, "a", (), frozenset(), 0),),
-            goals=(frozenset(),),
-            initial=0,
-        )
-        assert validate_ppta(a)
-        with pytest.raises(InputError, match="owner"):
-            build_region_game(a)
+        with pytest.raises(ValueError, match="location 'l': owner 4 out of range"):
+            PPTA(
+                n_players=1,
+                alphabet=("a",),
+                clock_names=(),
+                location_names=("l",),
+                owners=(4,),
+                transitions=(Transition(0, "a", (), frozenset(), 0),),
+                goals=(frozenset(),),
+                initial=0,
+            )
 
     def test_region_classes_respect_owners_and_goals(self):
         # pair sampled concrete states with their regions and run the
