@@ -166,7 +166,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     text = json.dumps(dump_finite_game(rg.game), ensure_ascii=False, indent=2)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8", errors="backslashreplace") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
             raise InputError(f"{args.output}: {exc}") from exc
@@ -238,6 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # a name can hold any character: escape what stdout cannot encode, as stderr does
+    if hasattr(sys.stdout, "reconfigure"):  # an io.StringIO never encodes
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         status = args.run(args)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import InputError, SizeCapError
-from .game import FiniteGame, LassoPlay, validate_game
+from .errors import SizeCapError
+from .game import FiniteGame, LassoPlay
 
 
 def set_name(mask: int) -> str:
@@ -110,9 +110,7 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner successors pred
         )
 
 
-def build_extended_game(
-    g: FiniteGame, max_vertices: int | None = None, *, validate: bool = True
-) -> ExtendedGame:
+def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> ExtendedGame:
     """Construct the reachable extended game of g.
 
     Edges mirror the base edges while accumulating, per target vertex hit,
@@ -120,13 +118,8 @@ def build_extended_game(
     accounts for the initial vertex. Plays from the base initial vertex and
     plays from the extended initial vertex correspond one to one. Vertices
     are numbered in BFS order over the base ``out_edges``, in declaration
-    order: witnesses and the printed labeling follow this numbering. A
-    caller that has already validated g may pass ``validate=False``.
+    order: witnesses and the printed labeling follow this numbering.
     """
-    if validate:
-        problems = validate_game(g)
-        if problems:
-            raise InputError("cannot extend ill-formed game: " + problems[0])
     tm, base_owner, out_edges = g.target_mask, g.owner, g.out_edges
     start = (g.initial, tm[g.initial])
     order: dict[tuple[int, int], int] = {start: 0}

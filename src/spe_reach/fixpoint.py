@@ -251,11 +251,11 @@ class Analysis(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
-    # an ill-formed game raises here, so only a validated game is cached
+    # a blocking game raises here, so only a well-formed game is cached
     problems = validate_game(g)
     if problems:
         raise InputError("; ".join(problems))
-    xg = build_extended_game(g, max_vertices=max_ext_vertices, validate=False)
+    xg = build_extended_game(g, max_vertices=max_ext_vertices)
     lam, k = compute_lambda_star(xg)
     return Analysis(xg, lam, k, cores(xg, lam))
 

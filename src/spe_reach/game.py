@@ -100,16 +100,55 @@ class FiniteGame(namedtuple(
 
     Every vertex is owned by exactly one player, who chooses the outgoing
     edge whenever a play is there. ``targets[i]`` is the vertex set player i
-    wants to visit. A well-formed game is non-blocking: every vertex has at
-    least one outgoing edge (see :func:`validate_game`).
+    wants to visit. A well-formed game is also non-blocking: every vertex
+    has at least one outgoing edge (see :func:`validate_game`).
 
     ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
     leaving v, in declaration order, each pair once. Every builder fills
     these rows directly; ``edges`` and ``target_mask`` are views derived on
     first access. ``owner[v]`` is a player index and ``targets`` holds
     frozensets of vertex ids. The views and the memoized hash keep an
-    instance ``__dict__``, so this record has no ``__slots__``.
+    instance ``__dict__``, so this record has no ``__slots__``. Construction
+    checks that every id is in range and every letter is in the alphabet,
+    and raises ``ValueError`` on the first fault.
     """
+
+    # namedtuple's _make (and so _replace) skips __new__; this one checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(
+        cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial
+    ) -> "FiniteGame":
+        nv = len(vertex_names)
+        if nv == 0:
+            raise ValueError("game has no vertices")
+        if len(owner) != nv:
+            raise ValueError(f"owner map covers {len(owner)} of {nv} vertices")
+        for name, player in zip(vertex_names, owner):
+            if not 0 <= player < n_players:
+                raise ValueError(
+                    f"vertex '{name}': owner {player} out of range for {n_players} players"
+                )
+        if len(targets) != n_players:
+            raise ValueError(f"expected {n_players} target sets, got {len(targets)}")
+        for i, ts in enumerate(targets):
+            unknown = [v for v in ts if not 0 <= v < nv]
+            if unknown:
+                raise ValueError(f"targets[{i}] contains unknown vertex id {min(unknown)}")
+        if not 0 <= initial < nv:
+            raise ValueError(f"initial vertex id {initial} out of range")
+        if len(out_edges) != nv:
+            raise ValueError(f"edge rows cover {len(out_edges)} of {nv} vertices")
+        letters = frozenset(alphabet)
+        for src, row in enumerate(out_edges):
+            for letter, dst in row:
+                if not 0 <= dst < nv:
+                    raise ValueError(f"edge row {src} references unknown vertex id {dst}")
+                if letter not in letters:
+                    raise ValueError(f"edge letter '{letter}' not in the alphabet")
+        return super().__new__(
+            cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -149,44 +188,9 @@ class FiniteGame(namedtuple(
 
 
 def validate_game(g: FiniteGame) -> list[str]:
-    """Report structural violations; an empty report means g is well formed.
-
-    Checks totality and ranges of the owner map, targets, and edge rows, and
-    the non-blocking condition (every vertex has an outgoing edge).
-    """
-    problems: list[str] = []
-    n, nv = g.n_players, g.n_vertices
-    if nv == 0:
-        return ["game has no vertices"]
-    if len(g.owner) != nv:
-        problems.append(f"owner map covers {len(g.owner)} of {nv} vertices")
-    else:
-        for v, player in enumerate(g.owner):
-            if not 0 <= player < n:
-                problems.append(
-                    f"vertex '{g.vertex_names[v]}': owner {player} out of range for {n} players"
-                )
-    if len(g.targets) != n:
-        problems.append(f"expected {n} target sets, got {len(g.targets)}")
-    for i, ts in enumerate(g.targets[:n]):
-        for v in sorted(ts):
-            if not 0 <= v < nv:
-                problems.append(f"targets[{i}] contains unknown vertex id {v}")
-    if not 0 <= g.initial < nv:
-        problems.append(f"initial vertex id {g.initial} out of range")
-    rows = g.out_edges
-    if len(rows) != nv:
-        problems.append(f"edge rows cover {len(rows)} of {nv} vertices")
-    for src, row in enumerate(rows):
-        for letter, dst in row:
-            if not 0 <= dst < nv:
-                problems.append(f"edge row {src} references unknown vertex id {dst}")
-            elif letter not in g.alphabet:
-                problems.append(f"edge row {src}: letter '{letter}' not in the alphabet")
-    for v, name in enumerate(g.vertex_names):
-        if v >= len(rows) or not rows[v]:
-            problems.append(f"vertex '{name}' has no outgoing edge (blocking)")
-    return problems
+    """Name every vertex without an outgoing edge, the one fault construction leaves."""
+    rows = zip(g.vertex_names, g.out_edges)
+    return [f"vertex '{name}' has no outgoing edge (blocking)" for name, row in rows if not row]
 
 
 class LassoPlay(namedtuple("LassoPlay", "prefix cycle")):

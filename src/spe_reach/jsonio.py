@@ -64,23 +64,22 @@ def _reject_edge(entry: Any, k: int, where: str, index: dict[str, int]) -> NoRet
     """Raise the error for ``edges[k]``, which failed to resolve.
 
     The checks run in the order the message should name them: the entry's
-    shape, its key types, its source and target names, then its letter.
+    shape, its key types, then its source and target names.
     """
     if not isinstance(entry, dict):
         raise InputError(f"{where}: edges[{k}] must be an object")
     ctx = f"{where}: edges[{k}]"
-    src, letter, dst = (_get(entry, key, str, ctx) for key in ("from", "letter", "to"))
-    for name in (src, dst):
-        if name not in index:
-            raise InputError(f"{where}: edge {k}: unknown vertex '{name}'")
-    raise InputError(f"{where}: edge letter '{letter}' not in the alphabet")
+    src, _, dst = (_get(entry, key, str, ctx) for key in ("from", "letter", "to"))
+    name = dst if src in index else src
+    raise InputError(f"{where}: edge {k}: unknown vertex '{name}'")
 
 
 def load_finite_game(source) -> FiniteGame:
     """Parse a finite game from a path or an already-decoded dict.
 
-    One pass over the document checks its types and ranges and resolves
-    every vertex name to its index; the first fault found is reported.
+    One pass over the document checks its types and resolves every vertex
+    name to its index; :class:`FiniteGame` then checks owner ranges and
+    letters. The first fault found is reported.
     """
     obj, where = _load_object(source)
     players = _get(obj, "players", int, where)
@@ -100,21 +99,16 @@ def load_finite_game(source) -> FiniteGame:
             _get(entry, "owner", int, f"{where}: vertices[{k}]")
         if name in index:
             raise InputError(f"{where}: duplicate vertex name '{name}'")
-        if not 0 <= player < players:
-            raise InputError(
-                f"{where}: vertex '{name}': owner {player} out of range for {players} players"
-            )
         index[name] = k
         names.append(name)
         owners.append(player)
-    letters = frozenset(alphabet)
     # a dict per row keeps the first declaration of each (letter, target)
     rows: list[dict[tuple[str, int], None]] = [{} for _ in names]
     for k, entry in enumerate(_get(obj, "edges", list, where)):
         # the common case in one try; any fault is named on the slow path
         try:
             src, letter, dst = index[entry["from"]], entry["letter"], index[entry["to"]]
-            if letter in letters:
+            if isinstance(letter, str):
                 rows[src][(letter, dst)] = None
                 continue
         except (KeyError, TypeError):
@@ -134,15 +128,18 @@ def load_finite_game(source) -> FiniteGame:
     initial = _get(obj, "initial", str, where)
     if initial not in index:
         raise InputError(f"{where}: initial: unknown vertex '{initial}'")
-    return FiniteGame(
-        n_players=players,
-        alphabet=tuple(alphabet),
-        vertex_names=tuple(names),
-        out_edges=tuple(map(tuple, rows)),
-        owner=tuple(owners),
-        targets=tuple(target_sets),
-        initial=index[initial],
-    )
+    try:
+        return FiniteGame(
+            n_players=players,
+            alphabet=tuple(alphabet),
+            vertex_names=tuple(names),
+            out_edges=tuple(map(tuple, rows)),
+            owner=tuple(owners),
+            targets=tuple(target_sets),
+            initial=index[initial],
+        )
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def dump_finite_game(g: FiniteGame) -> dict:

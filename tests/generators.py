@@ -6,9 +6,10 @@ import random
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from spe_reach.errors import DeadlockedRegionError
 from spe_reach.extended import build_extended_game
 from spe_reach.game import ConstraintProfile, FiniteGame
-from spe_reach.timed import COMPARATORS, GuardAtom, PPTA, Transition
+from spe_reach.timed import COMPARATORS, GuardAtom, PPTA, Transition, build_region_game
 
 from quotient import EquivalenceMap
 
@@ -154,6 +155,53 @@ def random_ppta(rng: random.Random, max_locations: int = 4, max_const: int = 3) 
         ),
         initial=rng.randrange(n_locations),
     )
+
+
+def guarded_ppta(rng: random.Random, max_locations: int = 5, max_const: int = 6) -> PPTA:
+    """A random two-player timed automaton whose guards decide more than random_ppta's.
+
+    Each location has two or three outgoing transitions, and every
+    transition carries one or two guard atoms with constants up to
+    max_const: there is no unguarded self-loop to fall back on, and
+    constants above 3 are common. Clocks are few (one or two) and rarely
+    reset (probability 0.2), so a bound set early still holds later. An
+    automaton with a deadlocked region is redrawn.
+    """
+    while True:
+        n_locations = rng.randint(3, max_locations)
+        n_clocks = rng.randint(1, 2)
+        transitions = tuple(
+            Transition(
+                src,
+                rng.choice(("a", "b")),
+                tuple(
+                    GuardAtom(rng.randrange(n_clocks), rng.choice(COMPARATORS), rng.randint(0, max_const))
+                    for _ in range(rng.randint(1, 2))
+                ),
+                frozenset(c for c in range(n_clocks) if rng.random() < 0.2),
+                rng.randrange(n_locations),
+            )
+            for src in range(n_locations)
+            for _ in range(rng.randint(2, 3))
+        )
+        a = PPTA(
+            n_players=2,
+            alphabet=("a", "b"),
+            clock_names=tuple(f"x{c}" for c in range(n_clocks)),
+            location_names=tuple(f"l{loc}" for loc in range(n_locations)),
+            owners=tuple(rng.randrange(2) for _ in range(n_locations)),
+            transitions=transitions,
+            goals=tuple(
+                frozenset(loc for loc in range(n_locations) if rng.random() < 0.3)
+                for _ in range(2)
+            ),
+            initial=rng.randrange(n_locations),
+        )
+        try:
+            build_region_game(a)
+        except DeadlockedRegionError:
+            continue
+        return a
 
 
 def dense_small_games() -> list[FiniteGame]:

@@ -541,6 +541,47 @@ class TestClosedStdout:
         assert first == (b"YES\n" if command == "solve" else b"{\n")
 
 
+class TestUnencodableNames:
+    """A name that stdout cannot encode is written as backslash escapes, as
+    stderr writes it, so the answer's exit code survives the output."""
+
+    @pytest.mark.parametrize("args, suffix, encoding", [
+        # a lone surrogate is valid JSON, but UTF-8 cannot encode it
+        *((args, "\ud800", "utf-8") for args in (
+            ["solve", "fork.json", "--witness"],
+            ["solve", "fork.json", "--lambda"],
+            ["solve-timed", "choice.json", "--lambda"],
+            ["regions", "choice.json"],
+            ["regions", "choice.json", "--output", "regions.json"],
+        )),
+        # on an ASCII stdout, any name outside ASCII; the --output file is
+        # always UTF-8, which encodes these
+        *((args, "\xe9", "ascii") for args in (
+            ["solve", "fork.json", "--witness"],
+            ["solve", "fork.json", "--lambda"],
+            ["solve-timed", "choice.json", "--lambda"],
+            ["regions", "choice.json"],
+        )),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_exit_code_is_the_answers(self, tmp_path, args, suffix, encoding):
+        doc, name = (FORK_GAME, "B") if args[1] == "fork.json" else (ONE_CLOCK_PPTA, "l1")
+        text = json.dumps(doc).replace(json.dumps(name), json.dumps(name + suffix))
+        (tmp_path / args[1]).write_text(text, encoding="utf-8")
+        src = Path(spe_reach.__file__).parent.parent
+        run = subprocess.run(
+            [sys.executable, "-m", "spe_reach", *args], cwd=tmp_path, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING=encoding), timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        written = (tmp_path / "regions.json").read_bytes() if "--output" in args else run.stdout
+        escaped = (name + suffix).encode(encoding, "backslashreplace")
+        assert escaped in written
+        if suffix == "\ud800" and args[0] == "regions":
+            # a JSON string escape reads back as the name itself
+            names = [v["name"] for v in json.loads(written)["vertices"]]
+            assert any(v.startswith(name + suffix + "|") for v in names)
+
+
 class TestBenchmarkTracer:
     """The benchmark's tracer wraps solver functions by module attribute and
     skips any it cannot find, so a renamed entry point would read 0 there

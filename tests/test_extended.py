@@ -72,17 +72,18 @@ def test_size_cap_enforced(fork_game):
 
 
 def test_ill_formed_game_rejected(chain_game):
-    broken = FiniteGame(
-        n_players=1,
-        alphabet=chain_game.alphabet,
-        vertex_names=chain_game.vertex_names,
-        out_edges=((("a", 1),), ()),  # B has no successor
-        owner=chain_game.owner,
-        targets=chain_game.targets,
-        initial=0,
-    )
-    with pytest.raises(InputError, match="blocking"):
-        build_extended_game(broken)
+    # the game checks itself, so the builder never sees an edge to nowhere
+    with pytest.raises(ValueError) as excinfo:
+        FiniteGame(
+            n_players=1,
+            alphabet=chain_game.alphabet,
+            vertex_names=chain_game.vertex_names,
+            out_edges=((("a", 1),), (("a", 2),)),  # B leads to no vertex
+            owner=chain_game.owner,
+            targets=chain_game.targets,
+            initial=0,
+        )
+    assert str(excinfo.value) == "edge row 1 references unknown vertex id 2"
 
 
 def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> None:

@@ -7,7 +7,9 @@ exception would exit 1 with a traceback, which reads as "NO". The size cap
 is kept small so that no example can grow a large game. A mutated finite
 game either fails to load or loads into a game whose names all resolved; a
 mutated automaton either fails to load or loads into one whose region game
-is well formed.
+is well formed. Renaming every name and letter of a document, to any
+strings at all, changes no exit code, even with a stdout that encodes
+strictly.
 """
 
 import copy
@@ -160,9 +162,9 @@ def test_mutated_documents(input_path, data):
 @settings(max_examples=300, deadline=None)
 @given(data=mutated_documents(FINITE_DOCUMENTS, near_misses | json_values))
 def test_mutated_games_load_resolved_or_not_at_all(input_path, data):
-    # the loader is the only code that resolves names: what it accepts must
-    # pass every range check of validate_game, and what it rejects, solve
-    # rejects with the loader's message alone
+    # the loader is the only code that resolves names: what it accepts has
+    # passed FiniteGame's range checks and can only be blocking, and what
+    # it rejects, solve rejects with the loader's message alone
     input_path.write_bytes(data)
     try:
         g = load_finite_game(input_path)
@@ -196,6 +198,55 @@ def test_mutated_automata_load_well_formed_or_not_at_all(input_path, data):
         except (DeadlockedRegionError, SizeCapError):
             return
         assert validate_game(rg.game) == [], data
+
+
+# any string; a lone surrogate is valid JSON that UTF-8 cannot encode, and
+# drawn from the whole code space it would almost never come up
+names = st.text(
+    st.characters(exclude_categories=()) | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    max_size=3,
+)
+
+
+def _strings(node):
+    """Every name and letter in a document: its string values but comparators."""
+    if isinstance(node, dict):
+        return {s for key, value in node.items() if key != "op" for s in _strings(value)}
+    if isinstance(node, list):
+        return {s for value in node for s in _strings(value)}
+    return {node} if isinstance(node, str) else set()
+
+
+def _renamed(node, new: dict):
+    if isinstance(node, dict):
+        return {key: value if key == "op" else _renamed(value, new) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_renamed(value, new) for value in node]
+    return new.get(node, node) if isinstance(node, str) else node
+
+
+def _exit_code(path, command, data: bytes) -> int:
+    # stdout encodes strictly, as a UTF-8 pipe does; an io.StringIO never encodes
+    path.write_bytes(data)
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = main([command[0], str(path), *command[1:]])
+    out.flush()
+    return status
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), doc=st.sampled_from(FINITE_DOCUMENTS + PPTA_DOCUMENTS))
+def test_renamed_documents_keep_their_exit_codes(input_path, data, doc):
+    # every name and letter gets a distinct string, so the game is the same
+    # and only its printed names change; no document uses one string in two
+    # roles, so one map renames them all
+    old = sorted(_strings(doc))
+    new = dict(zip(old, data.draw(st.lists(names, min_size=len(old), max_size=len(old), unique=True))))
+    renamed = json.dumps(_renamed(doc, new)).encode()
+    for command in COMMANDS:
+        expected = _exit_code(input_path, command, json.dumps(doc).encode())
+        assert _exit_code(input_path, command, renamed) == expected, (command, renamed)
 
 
 def _error_line(exc: Exception) -> str:

@@ -145,43 +145,45 @@ class TestValidateGame:
         assert any("'C'" in line and "blocking" in line for line in report)
 
     def test_row_count_differs_from_vertex_count(self, chain_game):
-        g = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=chain_game.out_edges[:1],
-            owner=chain_game.owner,
-            targets=chain_game.targets,
-            initial=0,
-        )
-        report = validate_game(g)
-        assert "edge rows cover 1 of 2 vertices" in report
-        assert "vertex 'B' has no outgoing edge (blocking)" in report
+        # construction checks the rows, so a short row list never gets as
+        # far as the blocking check
+        with pytest.raises(ValueError) as excinfo:
+            FiniteGame(
+                n_players=1,
+                alphabet=chain_game.alphabet,
+                vertex_names=chain_game.vertex_names,
+                out_edges=chain_game.out_edges[:1],
+                owner=chain_game.owner,
+                targets=chain_game.targets,
+                initial=0,
+            )
+        assert str(excinfo.value) == "edge rows cover 1 of 2 vertices"
 
     def test_dangling_target_named(self, chain_game):
-        g = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=chain_game.out_edges,
-            owner=chain_game.owner,
-            targets=(frozenset({7}),),
-            initial=0,
-        )
-        report = validate_game(g)
-        assert any("targets[0]" in line and "7" in line for line in report)
+        with pytest.raises(ValueError) as excinfo:
+            FiniteGame(
+                n_players=1,
+                alphabet=chain_game.alphabet,
+                vertex_names=chain_game.vertex_names,
+                out_edges=chain_game.out_edges,
+                owner=chain_game.owner,
+                targets=(frozenset({7}),),
+                initial=0,
+            )
+        assert str(excinfo.value) == "targets[0] contains unknown vertex id 7"
 
     def test_out_of_range_owner(self, chain_game):
-        g = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=chain_game.out_edges,
-            owner=(0, 3),
-            targets=chain_game.targets,
-            initial=0,
-        )
-        assert any("owner 3" in line for line in validate_game(g))
+        with pytest.raises(ValueError) as excinfo:
+            FiniteGame(
+                n_players=1,
+                alphabet=chain_game.alphabet,
+                vertex_names=chain_game.vertex_names,
+                out_edges=chain_game.out_edges,
+                owner=(0, 3),
+                targets=chain_game.targets,
+                initial=0,
+            )
+        assert str(excinfo.value) == "vertex 'B': owner 3 out of range for 1 players"
 
     def test_build_rejects_unknown_vertex(self):
         loop = {**LOOP_GAME, "edges": [{"from": "A", "letter": "a", "to": "Z"}]}
@@ -202,10 +204,10 @@ class TestValidateGame:
             ([("A", "a", "B")], [["X"], []], "Z", "targets[0]: unknown vertex 'X'"),
             ([("A", "b", "B")], [[], []], "A", "edge letter 'b' not in the alphabet"),
             ([("A", "a", "B")], [["A"]], "A", "expected 2 target lists, got 1"),
-            # one pass: each edge is checked in full, names and letter
-            # included, before the next edge, the targets or the initial
-            # vertex are read
-            ([("A", "b", "B"), ("A", "a", "Z")], [[], []], "A", "edge letter 'b' not in the alphabet"),
+            # one pass: each edge is checked in full before the next edge,
+            # the targets or the initial vertex are read; letters are
+            # checked by FiniteGame, after every name has resolved
+            ([("A", "b", "B"), ("A", "a", "Z")], [[], []], "A", "edge 1: unknown vertex 'Z'"),
             ([("A", "a", "Z"), ("A", "a", 3)], [[], []], "A", "edge 0: unknown vertex 'Z'"),
             ([("A", "a", "Z")], [[], "B"], 5, "edge 0: unknown vertex 'Z'"),
             ([("A", 3, "B")], [[], []], "A", "edges[0]: key 'letter' has the wrong type"),
@@ -230,10 +232,11 @@ class TestValidateGame:
             ([("A", 0), ("B", 2)], "vertex 'B': owner 2 out of range for 2 players"),
             ([("A", -1), ("B", 1)], "vertex 'A': owner -1 out of range for 2 players"),
             # each vertex is checked in full before the next one is read,
-            # and every vertex before the first edge
+            # and every vertex before the first edge; owner ranges are
+            # checked by FiniteGame, after every name has resolved
             ([("A", 0), ("A", 1), ("B", "1")], "duplicate vertex name 'A'"),
-            ([("A", 0), ("B", 2), ("C", "1")], "vertex 'B': owner 2 out of range for 2 players"),
-            ([("A", 0), ("C", 2)], "vertex 'C': owner 2 out of range for 2 players"),
+            ([("A", 0), ("B", 2), ("C", "1")], "vertices[2]: key 'owner' has the wrong type"),
+            ([("A", 0), ("C", 2)], "edge 0: unknown vertex 'B'"),
             ([("A", 0), ("B", "1"), ("A", 1)], "vertices[1]: key 'owner' has the wrong type"),
         ],
     )
@@ -369,6 +372,26 @@ class TestRecords:
     def test_bad_values_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"vertex_names": (), "owner": (), "out_edges": ()}, "game has no vertices"),
+        ({"owner": (0,)}, "owner map covers 1 of 2 vertices"),
+        ({"owner": (-1, 0)}, "vertex 'A': owner -1 out of range for 1 players"),
+        ({"targets": ()}, "expected 1 target sets, got 0"),
+        ({"targets": (frozenset({5, 0, -2, -1}),)}, "targets[0] contains unknown vertex id -2"),
+        ({"initial": 2}, "initial vertex id 2 out of range"),
+        ({"out_edges": ((("a", 1),), (("a", -1),))}, "edge row 1 references unknown vertex id -1"),
+        ({"out_edges": ((("a", 1),), (("b", 1),))}, "edge letter 'b' not in the alphabet"),
+        # two faults: the first one in the order above is named
+        ({"owner": (0, 1), "initial": 5}, "vertex 'B': owner 1 out of range for 1 players"),
+        ({"initial": 5, "out_edges": ((("b", 1),), (("a", 1),))}, "initial vertex id 5 out of range"),
+        ({"out_edges": ((("b", 1),), (("a", 7),))}, "edge letter 'b' not in the alphabet"),
+    ])
+    def test_bad_games_rejected(self, chain_game, changes, message):
+        # _replace goes through _make, so it checks as construction does
+        with pytest.raises(ValueError) as excinfo:
+            chain_game._replace(**changes)
+        assert str(excinfo.value) == message
 
     def test_keyword_construction(self, chain_game):
         assert GainProfile(mask=2, n=2) == GainProfile(2, 2)

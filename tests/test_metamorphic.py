@@ -32,7 +32,7 @@ from spe_reach.jsonio import dump_finite_game, load_finite_game
 from spe_reach.oracle import ORACLE_MAX_EXT_VERTICES
 from spe_reach.timed import PPTA, build_region_game
 
-from generators import clone_game, game_from_successors, random_ppta
+from generators import clone_game, game_from_successors, guarded_ppta, random_ppta
 
 
 def outcome_set(g: FiniteGame) -> frozenset[int]:
@@ -117,12 +117,23 @@ def _map_guards(a: PPTA, f) -> PPTA:
 
 
 def test_r4_doubled_guard_constants_keep_the_outcomes():
+    rng = random.Random(19)
+    _check_r4(lambda: random_ppta(rng, max_locations=6), 30)
+
+
+def test_r4_on_guarded_automata():
+    # constants up to 6, doubled up to 12, each guard deciding where a
+    # transition may go
+    rng = random.Random(23)
+    _check_r4(lambda: guarded_ppta(rng), 20)
+
+
+def _check_r4(draw, count: int) -> None:
     # most random automata answer the same with every guard dropped, which
     # leaves nothing for this relation to check; only the others count
-    rng = random.Random(19)
     checked = 0
-    while checked < 30:
-        a = random_ppta(rng, max_locations=6)
+    while checked < count:
+        a = draw()
         outcomes = outcome_set(build_region_game(a).game)
         if outcome_set(build_region_game(_map_guards(a, lambda guard: ())).game) == outcomes:
             continue

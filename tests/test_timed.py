@@ -34,7 +34,7 @@ from clock_samples import (
     reset_valuation,
     time_successors,
 )
-from generators import random_ppta
+from generators import guarded_ppta, random_ppta
 from reference_regions import reference_build_region_game
 
 
@@ -556,26 +556,43 @@ class TestBuildRegionGame:
         assert check_respects_targets(snapshot, eq)
 
     def test_region_edges_concretely_realizable(self):
-        a = one_clock_choice_ppta()
-        rg = build_region_game(a)
-        maxima = a.maxima
-        rng = random.Random(23)
-        for src, letter, dst in rg.game.edges:
-            loc, reg = rg.origin[src]
-            loc2, reg2 = rg.origin[dst]
-            nu = random_member(reg, rng)
-            realized = False
-            for elapsed in time_successors(reg):
-                for t in a.transitions_from[loc]:
-                    if t.letter != letter or t.target != loc2:
-                        continue
-                    if not guard_sat_region(t.guard, elapsed):
-                        continue
-                    if reset_region(elapsed, t.resets) != reg2:
-                        continue
-                    d = delay_reaching(nu, elapsed, maxima)
-                    shifted = [v + d for v in nu]
-                    assert guard_sat_valuation(t.guard, shifted)
-                    assert region_of(reset_valuation(shifted, t.resets), maxima) == reg2
-                    realized = True
-            assert realized
+        assert_edges_concretely_realizable(one_clock_choice_ppta(), random.Random(23))
+
+    def test_guarded_region_edges_concretely_realizable(self):
+        # every transition is guarded, with constants up to 6, so a guard
+        # misread at some constant shows as an edge no valuation takes; a
+        # sample of each game's edges keeps the exact arithmetic quick
+        rng = random.Random(37)
+        for _ in range(30):
+            assert_edges_concretely_realizable(guarded_ppta(rng), rng, sample=20)
+
+
+def assert_edges_concretely_realizable(a: PPTA, rng: random.Random, sample: int | None = None) -> None:
+    """Each region-game edge (or ``sample`` of them, drawn with rng) is taken
+    by a concrete member of its source region: for every delay and transition
+    the regions allow, the delayed valuation satisfies the guard and lands,
+    reset, in the target region."""
+    rg = build_region_game(a)
+    maxima = a.maxima
+    edges = rg.game.edges
+    if sample is not None:
+        edges = rng.sample(edges, min(sample, len(edges)))
+    for src, letter, dst in edges:
+        loc, reg = rg.origin[src]
+        loc2, reg2 = rg.origin[dst]
+        nu = random_member(reg, rng)
+        realized = False
+        for elapsed in time_successors(reg):
+            for t in a.transitions_from[loc]:
+                if t.letter != letter or t.target != loc2:
+                    continue
+                if not guard_sat_region(t.guard, elapsed):
+                    continue
+                if reset_region(elapsed, t.resets) != reg2:
+                    continue
+                d = delay_reaching(nu, elapsed, maxima)
+                shifted = [v + d for v in nu]
+                assert guard_sat_valuation(t.guard, shifted)
+                assert region_of(reset_valuation(shifted, t.resets), maxima) == reg2
+                realized = True
+        assert realized
