@@ -30,13 +30,7 @@ from .fixpoint import (
     initial_labeling,
     lambda_step,
 )
-from .game import (
-    ConstraintProfile,
-    FiniteGame,
-    GainProfile,
-    LassoPlay,
-    validate_game,
-)
+from .game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 from .jsonio import dump_finite_game, load_finite_game, load_ppta
 
 _TIMED_NAMES = frozenset((
@@ -85,5 +79,4 @@ __all__ = [
     "load_finite_game",
     "load_ppta",
     "reset_region",
-    "validate_game",
 ]

@@ -132,6 +132,18 @@ def _print_oracle_line(c: ConstraintProfile, decision: Decision) -> None:
     print(f"oracle: {'AGREE' if agreed else 'DISAGREE'}")
 
 
+def _write_game_json(g: FiniteGame, stream) -> None:
+    """Write g to stream as a finite-game file; JSON's own ``\\uXXXX`` escape
+    spells each character the stream cannot encode, so g always loads back."""
+    text = json.dumps(dump_finite_game(g), ensure_ascii=False, indent=2)
+    encoding = stream.encoding or "utf-8"  # an io.StringIO has none
+    try:
+        text.encode(encoding)
+    except UnicodeEncodeError:  # under "ignore", a character it cannot encode is b""
+        text = "".join(ch if ch.encode(encoding, "ignore") else json.dumps(ch)[1:-1] for ch in text)
+    stream.write(text + "\n")
+
+
 def _solve_game(g: FiniteGame, args: argparse.Namespace) -> int:
     c = _parse_constraint(args.player, g.n_players)
     decision = decide_constrained_existence(g, c, max_ext_vertices=_max_ext_vertices())
@@ -156,22 +168,21 @@ def _cmd_solve_timed(args: argparse.Namespace) -> int:
     status = _solve_game(rg.game, args)
     if args.regions:
         print("region game:")
-        print(json.dumps(dump_finite_game(rg.game), ensure_ascii=False, indent=2))
+        _write_game_json(rg.game, sys.stdout)
     return status
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     automaton = load_ppta(args.automaton)
     rg = build_region_game(automaton, max_vertices=_max_ext_vertices())
-    text = json.dumps(dump_finite_game(rg.game), ensure_ascii=False, indent=2)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8", errors="backslashreplace") as handle:
-                handle.write(text + "\n")
+            with open(args.output, "w", encoding="utf-8") as handle:
+                _write_game_json(rg.game, handle)
         except OSError as exc:
             raise InputError(f"{args.output}: {exc}") from exc
     else:
-        print(text)
+        _write_game_json(rg.game, sys.stdout)
     return 0
 
 

@@ -15,11 +15,11 @@ the labels, so constrained existence reduces to a forward search for one
 consistent lasso per admissible gain profile.
 
 The extended game, the fixpoint and the core of every layer under it
-depend on the game alone, so :func:`analyze` validates the game and
-computes them once per game (and size cap), keeping the result as an
-:class:`Analysis`; :meth:`Analysis.decide` then runs only the
-per-constraint profile scan, one forward search per profile, each confined
-to the down-set of its gain profile.
+depend on the game alone, so :func:`analyze` computes them once per game
+(and size cap), keeping the result as an :class:`Analysis`;
+:meth:`Analysis.decide` then runs only the per-constraint profile scan, one
+forward search per profile, each confined to the down-set of its gain
+profile.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .extended import ExtendedGame, build_extended_game
-from .game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay, validate_game
+from .game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 
 Labeling = tuple[int, ...]
 
@@ -251,23 +251,17 @@ class Analysis(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _analysis(g: FiniteGame, max_ext_vertices: int | None) -> Analysis:
-    # a blocking game raises here, so only a well-formed game is cached
-    problems = validate_game(g)
-    if problems:
-        raise InputError("; ".join(problems))
     xg = build_extended_game(g, max_vertices=max_ext_vertices)
     lam, k = compute_lambda_star(xg)
     return Analysis(xg, lam, k, cores(xg, lam))
 
 
 def analyze(g: FiniteGame, *, max_ext_vertices: int | None = None) -> Analysis:
-    """Validate g, then build its extended game and labeling fixpoint.
+    """Build g's extended game and labeling fixpoint.
 
-    All three are cached per (game, cap), so every constraint decided on one
-    game shares one validation, one extended game and one fixpoint. A game
-    value is immutable, so an equal game found in the cache has passed
-    validation already. A call that fails validation or hits the size cap
-    caches nothing, and an ill-formed game is rejected on every call.
+    Both are cached per (game, cap), so every constraint decided on one game
+    shares one extended game and one fixpoint. A call that hits the size cap
+    caches nothing.
     """
     return _analysis(g, max_ext_vertices)
 

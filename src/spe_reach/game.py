@@ -1,4 +1,4 @@
-"""Finite turn-based games: arenas, lasso plays, gain profiles, validation.
+"""Finite turn-based games: arenas, lasso plays, gain profiles.
 
 Vertices and players are dense integer indices; display names live in a side
 table on the game. Edge letters are part of the data model (they matter for
@@ -100,8 +100,7 @@ class FiniteGame(namedtuple(
 
     Every vertex is owned by exactly one player, who chooses the outgoing
     edge whenever a play is there. ``targets[i]`` is the vertex set player i
-    wants to visit. A well-formed game is also non-blocking: every vertex
-    has at least one outgoing edge (see :func:`validate_game`).
+    wants to visit.
 
     ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
     leaving v, in declaration order, each pair once. Every builder fills
@@ -110,7 +109,8 @@ class FiniteGame(namedtuple(
     frozensets of vertex ids. The views and the memoized hash keep an
     instance ``__dict__``, so this record has no ``__slots__``. Construction
     checks that every id is in range and every letter is in the alphabet,
-    and raises ``ValueError`` on the first fault.
+    raising ``ValueError`` on the first fault, then that no vertex is
+    blocking (without an outgoing edge), naming every vertex that is.
     """
 
     # namedtuple's _make (and so _replace) skips __new__; this one checks too
@@ -146,6 +146,11 @@ class FiniteGame(namedtuple(
                     raise ValueError(f"edge row {src} references unknown vertex id {dst}")
                 if letter not in letters:
                     raise ValueError(f"edge letter '{letter}' not in the alphabet")
+        if not all(out_edges):
+            raise ValueError("; ".join(
+                f"vertex '{name}' has no outgoing edge (blocking)"
+                for name, row in zip(vertex_names, out_edges) if not row
+            ))
         return super().__new__(
             cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial
         )
@@ -185,12 +190,6 @@ class FiniteGame(namedtuple(
         for v, listed in players.items():
             masks[v] = _mask(listed)
         return tuple(masks)
-
-
-def validate_game(g: FiniteGame) -> list[str]:
-    """Name every vertex without an outgoing edge, the one fault construction leaves."""
-    rows = zip(g.vertex_names, g.out_edges)
-    return [f"vertex '{name}' has no outgoing edge (blocking)" for name, row in rows if not row]
 
 
 class LassoPlay(namedtuple("LassoPlay", "prefix cycle")):

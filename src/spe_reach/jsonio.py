@@ -78,8 +78,8 @@ def load_finite_game(source) -> FiniteGame:
     """Parse a finite game from a path or an already-decoded dict.
 
     One pass over the document checks its types and resolves every vertex
-    name to its index; :class:`FiniteGame` then checks owner ranges and
-    letters. The first fault found is reported.
+    name to its index; :class:`FiniteGame` then checks owner ranges, letters
+    and blocking vertices. The first fault found is reported.
     """
     obj, where = _load_object(source)
     players = _get(obj, "players", int, where)

@@ -149,13 +149,6 @@ def _solve(xg: ExtendedGame) -> tuple[tuple[frozenset[tuple[int, int]], ...], in
         lam_mask = new_mask
 
 
-def oracle_lambda_star(xg: ExtendedGame) -> tuple[int, ...]:
-    """Fixpoint labeling computed by scanning enumerated lassos; must agree
-    with the solver's fixpoint."""
-    lam_mask = _solve(xg)[1]
-    return tuple((lam_mask >> v) & 1 for v in range(xg.n_vertices))
-
-
 def oracle_outcomes(xg: ExtendedGame) -> frozenset[GainProfile]:
     """The SPE outcomes: the gain profiles of the plays from the initial
     vertex that are consistent with the fixpoint labeling. A constraint c

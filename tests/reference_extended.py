@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from spe_reach.errors import InputError, SizeCapError
+from spe_reach.errors import SizeCapError
 from spe_reach.extended import ExtendedGame
-from spe_reach.game import FiniteGame, validate_game
+from spe_reach.game import FiniteGame
 
 
 def _set_name(mask: int) -> str:
@@ -28,9 +28,6 @@ def reference_build_extended_game(
 ) -> tuple[FiniteGame, tuple[tuple[int, int], ...], tuple[tuple[int, str, int], ...]]:
     """The reachable extended game of g, per vertex its (base vertex, satisfied
     mask), and its edge triples in emission order."""
-    problems = validate_game(g)
-    if problems:
-        raise InputError("cannot extend ill-formed game: " + problems[0])
     tm = g.target_mask
     start = (g.initial, tm[g.initial])
     order: dict[tuple[int, int], int] = {start: 0}

@@ -372,19 +372,6 @@ class TestDecide:
                     assert gain_of_lasso(g, w.base) == w.gain
                     assert d.extended_game.project(w.extended) == w.base
 
-    def test_invalid_game_rejected(self, chain_game):
-        broken = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=((("a", 1),), ()),
-            owner=chain_game.owner,
-            targets=chain_game.targets,
-            initial=0,
-        )
-        with pytest.raises(InputError, match="blocking"):
-            decide_constrained_existence(broken, ConstraintProfile.from_words(["any"]))
-
     def test_player_count_mismatch_rejected(self, chain_game):
         with pytest.raises(InputError, match="players"):
             decide_constrained_existence(
@@ -403,33 +390,6 @@ class TestDecide:
         assert d.answer
         assert d.witness.gain.mask == 0
 
-    def test_invalid_game_reports_every_problem(self, chain_game):
-        broken = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=((), ()),
-            owner=chain_game.owner,
-            targets=chain_game.targets,
-            initial=0,
-        )
-        with pytest.raises(InputError) as excinfo:
-            decide_constrained_existence(broken, ConstraintProfile.from_words(["any"]))
-        assert str(excinfo.value) == (
-            "vertex 'A' has no outgoing edge (blocking); "
-            "vertex 'B' has no outgoing edge (blocking)"
-        )
-
-    def test_validates_once_per_decision(self, fork_game, monkeypatch):
-        from spe_reach import extended, fixpoint
-
-        calls = []
-        checker = fixpoint.validate_game
-        monkeypatch.setattr(fixpoint, "validate_game", lambda g: calls.append(g) or checker(g))
-        decide_constrained_existence(fork_game, ConstraintProfile.from_words(["any"]))
-        assert calls == [fork_game]
-        assert not hasattr(extended, "validate_game")
-
     def test_leaves_the_game_view_unbuilt(self):
         for g in random_games(20, seed=67):
             d = decide_constrained_existence(g, ConstraintProfile.from_words(["any"] * g.n_players))
@@ -446,7 +406,7 @@ def _four_player_game() -> FiniteGame:
 class TestAnalyze:
     def test_one_analysis_serves_every_constraint(self, monkeypatch):
         g = _four_player_game()
-        calls = {"build": 0, "lambda": 0, "validate": 0}
+        calls = {"build": 0, "lambda": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -457,12 +417,11 @@ class TestAnalyze:
 
         monkeypatch.setattr(fixpoint, "build_extended_game", counted("build", fixpoint.build_extended_game))
         monkeypatch.setattr(fixpoint, "compute_lambda_star", counted("lambda", fixpoint.compute_lambda_star))
-        monkeypatch.setattr(fixpoint, "validate_game", counted("validate", fixpoint.validate_game))
         constraints = all_constraints(4)
         assert len(constraints) == 81
         answers = {decide_constrained_existence(g, c).answer for c in constraints}
         assert answers == {True, False}
-        assert calls == {"build": 1, "lambda": 1, "validate": 1}
+        assert calls == {"build": 1, "lambda": 1}
 
     def test_cached_decisions_equal_fresh_ones(self):
         for g in random_games(25, seed=71):
@@ -493,43 +452,6 @@ class TestAnalyze:
         assert small is not default and small == default
         assert analyze(fork_game, max_ext_vertices=3) is small
         assert _analysis.cache_info().hits == 1
-
-    def test_ill_formed_game_rejected_before_analysis(self, chain_game):
-        broken = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=((("a", 1),), ()),
-            owner=chain_game.owner,
-            targets=chain_game.targets,
-            initial=0,
-        )
-        with pytest.raises(InputError) as excinfo:
-            analyze(broken)
-        assert str(excinfo.value) == "vertex 'B' has no outgoing edge (blocking)"
-        assert _analysis.cache_info().currsize == 0
-
-    def test_ill_formed_game_rejected_on_every_call(self, chain_game):
-        broken = FiniteGame(
-            n_players=1,
-            alphabet=chain_game.alphabet,
-            vertex_names=chain_game.vertex_names,
-            out_edges=((), ()),
-            owner=chain_game.owner,
-            targets=chain_game.targets,
-            initial=0,
-        )
-        messages = []
-        for _ in range(2):
-            with pytest.raises(InputError) as excinfo:
-                decide_constrained_existence(broken, ConstraintProfile.from_words(["any"]))
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert messages[0] == (
-            "vertex 'A' has no outgoing edge (blocking); "
-            "vertex 'B' has no outgoing edge (blocking)"
-        )
-        assert _analysis.cache_info().currsize == 0
 
     def test_decide_leaves_the_views_unbuilt(self):
         g = _four_player_game()

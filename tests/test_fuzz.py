@@ -5,11 +5,13 @@ given to ``solve``, ``solve-timed`` and ``regions``. Each run must return
 0 (YES), 1 (NO), 2 (bad input) or 3 (size cap) and never raise: an uncaught
 exception would exit 1 with a traceback, which reads as "NO". The size cap
 is kept small so that no example can grow a large game. A mutated finite
-game either fails to load or loads into a game whose names all resolved; a
+game either fails to load or loads into a game that solve never rejects; a
 mutated automaton either fails to load or loads into one whose region game
 is well formed. Renaming every name and letter of a document, to any
 strings at all, changes no exit code, even with a stdout that encodes
-strictly.
+strictly, and the region game that ``regions`` and ``solve-timed
+--regions`` print still loads back as itself, on a UTF-8 or an ASCII
+stdout and from the ``--output`` file.
 """
 
 import copy
@@ -18,11 +20,10 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spe_reach.cli import ENV_MAX_EXT_VERTICES, main
 from spe_reach.errors import DeadlockedRegionError, InputError, SizeCapError
-from spe_reach.game import validate_game
 from spe_reach.jsonio import load_finite_game, load_ppta
 from spe_reach.timed import build_region_game
 
@@ -162,28 +163,28 @@ def test_mutated_documents(input_path, data):
 @settings(max_examples=300, deadline=None)
 @given(data=mutated_documents(FINITE_DOCUMENTS, near_misses | json_values))
 def test_mutated_games_load_resolved_or_not_at_all(input_path, data):
-    # the loader is the only code that resolves names: what it accepts has
-    # passed FiniteGame's range checks and can only be blocking, and what
-    # it rejects, solve rejects with the loader's message alone
+    # FiniteGame checks every fault as the loader builds it: what the loader
+    # accepts, solve answers (or hits the size cap on), and what it rejects,
+    # solve rejects with the loader's message alone
     input_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(["solve", str(input_path), "--witness", "--lambda"])
     try:
-        g = load_finite_game(input_path)
+        load_finite_game(input_path)
     except InputError as exc:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            status = main(["solve", str(input_path), "--witness", "--lambda"])
         assert (status, out.getvalue(), err.getvalue()) == (2, "", _error_line(exc))
     else:
-        for problem in validate_game(g):
-            assert problem == "game has no vertices" or problem.endswith("(blocking)"), (problem, data)
+        assert status in (0, 1, 3), (status, err.getvalue(), data)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=near_miss_automata() | mutated_documents(PPTA_DOCUMENTS, ppta_near_ints | ppta_near_strings | json_values))
 def test_mutated_automata_load_well_formed_or_not_at_all(input_path, data):
     # the automaton checks itself on construction: what the loader accepts
-    # must build a well-formed region game, and what it rejects, solve-timed
-    # rejects with the loader's message alone
+    # builds a region game that FiniteGame accepts, or hits a deadlock or
+    # the size cap, and what it rejects, solve-timed rejects with the
+    # loader's message alone
     input_path.write_bytes(data)
     try:
         a = load_ppta(input_path)
@@ -194,10 +195,9 @@ def test_mutated_automata_load_well_formed_or_not_at_all(input_path, data):
         assert (status, out.getvalue(), err.getvalue()) == (2, "", _error_line(exc))
     else:
         try:
-            rg = build_region_game(a, max_vertices=64)
+            build_region_game(a, max_vertices=64)
         except (DeadlockedRegionError, SizeCapError):
-            return
-        assert validate_game(rg.game) == [], data
+            pass
 
 
 # any string; a lone surrogate is valid JSON that UTF-8 cannot encode, and
@@ -225,28 +225,72 @@ def _renamed(node, new: dict):
     return new.get(node, node) if isinstance(node, str) else node
 
 
-def _exit_code(path, command, data: bytes) -> int:
-    # stdout encodes strictly, as a UTF-8 pipe does; an io.StringIO never encodes
-    path.write_bytes(data)
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+# names outside ASCII on purpose: below U+0100 a Python backslash escape is
+# not a JSON one, and above U+FFFF JSON needs a surrogate pair
+wide_names = st.text(
+    st.sampled_from("\xe9\xff\u0100\U0001f600\U0010ffff") | st.characters(min_codepoint=0x80),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def renamings(draw, documents, strings=names):
+    """A document and a copy with every name and letter renamed to a
+    distinct drawn string. No document uses one string in two roles, so one
+    map renames them all, and the copy describes the same game."""
+    doc = draw(st.sampled_from(documents))
+    old = sorted(_strings(doc))
+    new = draw(st.lists(strings, min_size=len(old), max_size=len(old), unique=True))
+    return doc, _renamed(doc, dict(zip(old, new)))
+
+
+def _run(argv, encoding: str = "utf-8") -> tuple[int, str]:
+    # stdout encodes strictly, as a pipe does; an io.StringIO never encodes
+    out = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors="strict")
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        status = main([command[0], str(path), *command[1:]])
+        status = main(argv)
     out.flush()
-    return status
+    return status, out.buffer.getvalue().decode(encoding)
+
+
+def _exit_code(path, command, data: bytes) -> int:
+    path.write_bytes(data)
+    return _run([command[0], str(path), *command[1:]])[0]
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), doc=st.sampled_from(FINITE_DOCUMENTS + PPTA_DOCUMENTS))
-def test_renamed_documents_keep_their_exit_codes(input_path, data, doc):
-    # every name and letter gets a distinct string, so the game is the same
-    # and only its printed names change; no document uses one string in two
-    # roles, so one map renames them all
-    old = sorted(_strings(doc))
-    new = dict(zip(old, data.draw(st.lists(names, min_size=len(old), max_size=len(old), unique=True))))
-    renamed = json.dumps(_renamed(doc, new)).encode()
+@given(pair=renamings(FINITE_DOCUMENTS + PPTA_DOCUMENTS))
+def test_renamed_documents_keep_their_exit_codes(input_path, pair):
+    # the renamed game is the same game, so only its printed names change
+    doc, renamed = pair
     for command in COMMANDS:
         expected = _exit_code(input_path, command, json.dumps(doc).encode())
-        assert _exit_code(input_path, command, renamed) == expected, (command, renamed)
+        assert _exit_code(input_path, command, json.dumps(renamed).encode()) == expected, (command, renamed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=renamings(PPTA_DOCUMENTS, names | wide_names))
+@example(pair=(ONE_CLOCK_PPTA, _renamed(ONE_CLOCK_PPTA, {"l1": "l\xe9", "l2": "m\U0001f600"})))
+def test_printed_region_games_load_back_on_any_stdout(input_path, pair):
+    # regions (to stdout under UTF-8 and ASCII, and to --output) and the
+    # region game block of solve-timed --regions all print JSON that loads
+    # back into the region game itself, whatever the names are
+    input_path.write_text(json.dumps(pair[1]), encoding="utf-8")
+    expected = build_region_game(load_ppta(input_path)).game
+    output = input_path.with_name("regions.json")
+    texts = []
+    for encoding in ("utf-8", "ascii"):
+        status, text = _run(["regions", str(input_path)], encoding)
+        assert status == 0
+        texts.append(text)
+        status, text = _run(["solve-timed", str(input_path), "--regions"], encoding)
+        assert status in (0, 1)
+        texts.append(text.partition("region game:\n")[2])
+    assert _run(["regions", str(input_path), "--output", str(output)])[0] == 0
+    texts.append(output.read_text(encoding="utf-8"))
+    for text in texts:
+        assert load_finite_game(json.loads(text)) == expected
 
 
 def _error_line(exc: Exception) -> str:

@@ -8,13 +8,7 @@ import pytest
 from spe_reach import fixpoint
 from spe_reach.errors import InputError
 from spe_reach.extended import ExtendedGame, build_extended_game, set_name
-from spe_reach.game import (
-    ConstraintProfile,
-    FiniteGame,
-    GainProfile,
-    LassoPlay,
-    validate_game,
-)
+from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile, LassoPlay
 from spe_reach.jsonio import load_finite_game
 
 from documents import CHAIN_GAME, FORK_GAME, LOOP_GAME
@@ -128,21 +122,47 @@ class TestPlayerMasks:
 
 
 class TestValidateGame:
+    """Construction checks every fault, a blocking vertex (one without an
+    outgoing edge) last."""
+
     def test_well_formed(self, chain_game):
-        assert validate_game(chain_game) == []
+        assert FiniteGame._make(chain_game) == chain_game
+        assert all(chain_game.out_edges)
 
     def test_blocking_vertex_named(self):
-        g = FiniteGame(
-            n_players=1,
-            alphabet=("a",),
-            vertex_names=("A", "B", "C"),
-            out_edges=((("a", 1),), (("a", 0),), ()),
-            owner=(0, 0, 0),
-            targets=(frozenset(),),
-            initial=0,
+        with pytest.raises(ValueError) as excinfo:
+            FiniteGame(
+                n_players=1,
+                alphabet=("a",),
+                vertex_names=("A", "B", "C"),
+                out_edges=((("a", 1),), (("a", 0),), ()),
+                owner=(0, 0, 0),
+                targets=(frozenset(),),
+                initial=0,
+            )
+        assert str(excinfo.value) == "vertex 'C' has no outgoing edge (blocking)"
+
+    def test_blocking_names_every_vertex(self, chain_game):
+        with pytest.raises(ValueError) as excinfo:
+            chain_game._replace(out_edges=((), ()))
+        assert str(excinfo.value) == (
+            "vertex 'A' has no outgoing edge (blocking); "
+            "vertex 'B' has no outgoing edge (blocking)"
         )
-        report = validate_game(g)
-        assert any("'C'" in line and "blocking" in line for line in report)
+
+    def test_blocking_rejected_on_every_construction_path(self, chain_game):
+        blocking = (*chain_game[:3], ((("a", 1),), ()), *chain_game[4:])
+        # tuple.__new__ skips every check, so this record can be pickled
+        unchecked = tuple.__new__(FiniteGame, blocking)
+        for make in (
+            lambda: FiniteGame(*blocking),
+            lambda: FiniteGame._make(blocking),
+            lambda: chain_game._replace(out_edges=blocking[3]),
+            lambda: pickle.loads(pickle.dumps(unchecked)),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == "vertex 'B' has no outgoing edge (blocking)"
 
     def test_row_count_differs_from_vertex_count(self, chain_game):
         # construction checks the rows, so a short row list never gets as
@@ -386,6 +406,10 @@ class TestRecords:
         ({"owner": (0, 1), "initial": 5}, "vertex 'B': owner 1 out of range for 1 players"),
         ({"initial": 5, "out_edges": ((("b", 1),), (("a", 1),))}, "initial vertex id 5 out of range"),
         ({"out_edges": ((("b", 1),), (("a", 7),))}, "edge letter 'b' not in the alphabet"),
+        # any range or letter fault before a blocking vertex
+        ({"out_edges": ((("a", 7),), ())}, "edge row 0 references unknown vertex id 7"),
+        ({"out_edges": ((), (("b", 1),))}, "edge letter 'b' not in the alphabet"),
+        ({"out_edges": ((), ()), "initial": 2}, "initial vertex id 2 out of range"),
     ])
     def test_bad_games_rejected(self, chain_game, changes, message):
         # _replace goes through _make, so it checks as construction does

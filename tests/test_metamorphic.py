@@ -19,6 +19,10 @@ gain profiles of SPE outcomes, so a mismatch is a fault on one side
 The outcome set is read one profile at a time: the satisfied sets of the
 extended game for which the constraint "exactly this profile" has a yes
 answer.
+
+One more check on the same games is not metamorphic: the fixpoint and its
+step count must match the chain of the independent mask-by-mask step in
+``reference_fixpoint``, which needs no oracle and so has no size bound.
 """
 
 import random
@@ -26,13 +30,14 @@ import random
 import pytest
 
 from spe_reach.extended import build_extended_game
-from spe_reach.fixpoint import analyze
+from spe_reach.fixpoint import analyze, compute_lambda_star, initial_labeling
 from spe_reach.game import ConstraintProfile, FiniteGame, GainProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game
 from spe_reach.oracle import ORACLE_MAX_EXT_VERTICES
 from spe_reach.timed import PPTA, build_region_game
 
 from generators import clone_game, game_from_successors, guarded_ppta, random_ppta
+from reference_fixpoint import reference_lambda_step
 
 
 def outcome_set(g: FiniteGame) -> frozenset[int]:
@@ -110,6 +115,17 @@ def test_r3_an_unreachable_component_keeps_the_outcomes(large_games):
 def test_r5_a_cloned_game_keeps_the_outcomes(large_games):
     for g in large_games:
         assert outcome_set(clone_game(g)[0]) == outcome_set(g)
+
+
+def test_fixpoint_chain_matches_the_reference(large_games):
+    # a solver that stopped early on large games would pass R1-R5, which
+    # compare it with itself; most of these games take two or more steps
+    for g in large_games:
+        xg = build_extended_game(g)
+        lam, k = initial_labeling(xg), 0
+        while (nxt := reference_lambda_step(xg, lam)) != lam:
+            lam, k = nxt, k + 1
+        assert compute_lambda_star(xg) == (lam, k)
 
 
 def _map_guards(a: PPTA, f) -> PPTA:

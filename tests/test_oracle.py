@@ -15,13 +15,19 @@ from spe_reach.jsonio import load_finite_game
 from spe_reach.oracle import (
     ORACLE_MAX_EXT_VERTICES,
     OracleLimitError,
-    oracle_lambda_star,
     oracle_outcomes,
 )
 
 from documents import LOOP_GAME
 from generators import all_constraints, dense_small_games, exhaustive_grid, random_games
 from lassos import enumerate_lassos, gain_of_lasso, is_consistent, lasso_violations
+
+
+def oracle_lambda_star(xg) -> tuple[int, ...]:
+    """The oracle's fixpoint labeling, read off its enumerated lassos; it
+    must agree with the solver's."""
+    lam_mask = oracle._solve(xg)[1]
+    return tuple((lam_mask >> v) & 1 for v in range(xg.n_vertices))
 
 
 class TestEnumerateLassos:
