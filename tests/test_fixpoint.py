@@ -372,6 +372,14 @@ class TestDecide:
                     assert gain_of_lasso(g, w.base) == w.gain
                     assert d.extended_game.project(w.extended) == w.base
 
+    def test_invalid_game_rejected(self, chain_game):
+        # a blocking game cannot be built, so the decision never starts
+        with pytest.raises(ValueError, match="blocking"):
+            decide_constrained_existence(
+                chain_game._replace(out_edges=((("a", 1),), ())),
+                ConstraintProfile.from_words(["any"]),
+            )
+
     def test_player_count_mismatch_rejected(self, chain_game):
         with pytest.raises(InputError, match="players"):
             decide_constrained_existence(
@@ -452,6 +460,12 @@ class TestAnalyze:
         assert small is not default and small == default
         assert analyze(fork_game, max_ext_vertices=3) is small
         assert _analysis.cache_info().hits == 1
+
+    def test_ill_formed_game_rejected_before_analysis(self, chain_game):
+        with pytest.raises(ValueError) as excinfo:
+            analyze(chain_game._replace(out_edges=((("a", 1),), ())))
+        assert str(excinfo.value) == "vertex 'B' has no outgoing edge (blocking)"
+        assert _analysis.cache_info().currsize == 0
 
     def test_decide_leaves_the_views_unbuilt(self):
         g = _four_player_game()
