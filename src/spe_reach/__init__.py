@@ -3,8 +3,11 @@
 Explicit finite games are decided through the extended game and a labeling
 fixpoint; timed games are reduced to finite ones by the clock-region
 quotient first. All three graphs (the input arena, the region game and the
-extended game's ``game`` view) are ``FiniteGame`` values that store one
-per-vertex row of (letter, target) edges. A bounded brute-force oracle
+extended game's ``game`` view) are ``FiniteGame`` values. A region game
+keeps delay and discrete moves apart: each (location, region) position
+holds the moves enabled at its region and a delay link to the next region's
+position; the other two have no links, so each vertex's row holds all of its
+(letter, target) edges. A bounded brute-force oracle
 (``spe_reach.oracle``) recomputes an extended game's SPE outcome set by
 lasso enumeration to cross-check the solver on small instances; it is
 left out of this namespace so that importing the solver stays cheap. For

@@ -27,27 +27,46 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_EXT_VERTICES = 1 << 22
 ENV_MAX_EXT_VERTICES = "SPE_REACH_MAX_EXT_VERTICES"
+# a clock region of a one-clock chain costs about 500 bytes, so the default
+# stops such a chain at about 125 MB
+DEFAULT_MAX_REGIONS = 1 << 18
+ENV_MAX_REGIONS = "SPE_REACH_MAX_REGIONS"
 
 
-def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
+def build_region_game(
+    a: PPTA, max_vertices: int | None = None, max_regions: int | None = None
+) -> RegionGame:
     """:func:`spe_reach.timed.build_region_game`, imported on first use so
     that ``solve`` never loads the timed module."""
     from . import timed
 
-    return timed.build_region_game(a, max_vertices=max_vertices)
+    return timed.build_region_game(a, max_vertices=max_vertices, max_regions=max_regions)
 
 
-def _max_ext_vertices() -> int:
-    raw = os.environ.get(ENV_MAX_EXT_VERTICES)
+def _limit(variable: str, default: int) -> int:
+    """The positive integer in the environment variable, or the default."""
+    raw = os.environ.get(variable)
     if raw is None:
-        return DEFAULT_MAX_EXT_VERTICES
+        return default
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise InputError(f"{ENV_MAX_EXT_VERTICES} must be an integer, got {raw!r}") from exc
+        raise InputError(f"{variable} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise InputError(f"{ENV_MAX_EXT_VERTICES} must be positive")
+        raise InputError(f"{variable} must be positive")
     return cap
+
+
+def _max_ext_vertices() -> int:
+    return _limit(ENV_MAX_EXT_VERTICES, DEFAULT_MAX_EXT_VERTICES)
+
+
+def _region_game(args: argparse.Namespace) -> RegionGame:
+    return build_region_game(
+        load_ppta(args.automaton),
+        max_vertices=_max_ext_vertices(),
+        max_regions=_limit(ENV_MAX_REGIONS, DEFAULT_MAX_REGIONS),
+    )
 
 
 def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
@@ -163,8 +182,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_timed(args: argparse.Namespace) -> int:
-    automaton = load_ppta(args.automaton)
-    rg = build_region_game(automaton, max_vertices=_max_ext_vertices())
+    rg = _region_game(args)
     status = _solve_game(rg.game, args)
     if args.regions:
         print("region game:")
@@ -173,8 +191,7 @@ def _cmd_solve_timed(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    automaton = load_ppta(args.automaton)
-    rg = build_region_game(automaton, max_vertices=_max_ext_vertices())
+    rg = _region_game(args)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

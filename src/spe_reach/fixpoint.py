@@ -47,40 +47,60 @@ def _core(xg: ExtendedGame, lam: Labeling, m: int, mark: list[int], out: list[in
     outside m) and labeled 1, then repeatedly every vertex left without a
     successor in the set; the result is the greatest such set, so the order
     of removal does not matter. Sets ``mark[v] = m`` on exactly the returned
-    vertices; ``out`` is scratch space for successor counts. Neither list may
-    hold m on entry.
+    vertices; ``out`` is scratch space over positions. Neither list may hold
+    m on entry.
+
+    A successor comes from the vertex's own row or from its delay link. So
+    ``out[p]`` counts the own successors of p in the set, plus 1 while the
+    position its link leads to still has one. It is kept for the vertices
+    of the set and for every position a link leads to, dropped vertices
+    included: the positions linked to them still see their successors. Any
+    other position of the layer is a dropped vertex that no link leads to,
+    so its count may go stale without effect.
     """
-    owner, succ, pred = xg.owner, xg.successors, xg.predecessors
+    owner, own, pred, delay, dpred = xg.owner, xg.own, xg.own_pred, xg.delay, xg.delay_pred
+    sat = xg.satisfied
     lose = ((1 << xg.n_players) - 1) ^ m
     core = [v for v in xg.layers.get(m, ()) if not (lam[v] and lose >> owner[v] & 1)]
     for v in core:
         mark[v] = m
-    for v in core:
+    linked = xg.chains.get(m)  # None in a layer without delay links
+    counted = core if linked is None else core + [p for p in linked if mark[p] != m]
+    for p in counted:
         count = 0
-        for w in succ[v]:
+        for w in own[p]:
             if mark[w] == m:
                 count += 1
-        out[v] = count
-    dead = [v for v in core if not out[v]]
+        out[p] = count
+    if linked is not None:
+        for p in counted:
+            if delay[p] >= 0:
+                out[p] += 1
+    dead = [p for p in counted if not out[p]]
     while dead:
-        v = dead.pop()
-        mark[v] = -1
-        for u in pred[v]:
-            if mark[u] == m:
-                out[u] -= 1
-                if not out[u]:
-                    dead.append(u)
+        p = dead.pop()
+        if mark[p] == m:
+            mark[p] = -1
+            for u in pred[p]:
+                if sat[u] == m:
+                    out[u] -= 1
+                    if not out[u]:
+                        dead.append(u)
+        for u in dpred[p]:
+            out[u] -= 1
+            if not out[u]:
+                dead.append(u)
     return [v for v in core if mark[v] == m]
 
 
 def cores(xg: ExtendedGame, lam: Labeling) -> bytes:
     """One flag per extended vertex: 1 iff it is in the :func:`_core` of its
     own layer. Layers partition the vertices, so one array covers them all."""
-    n = xg.n_vertices
+    n = len(xg.own)
     mark, out = [-1] * n, [0] * n
     for m in xg.layers:
         _core(xg, lam, m, mark, out)
-    return bytes([a == b for a, b in zip(mark, xg.satisfied)])
+    return bytes([a == b for a, b in zip(mark[: xg.n_vertices], xg.satisfied)])
 
 
 def exists_consistent_play(
@@ -95,7 +115,8 @@ def exists_consistent_play(
     that are no loser's label-1 vertex. Winners need no further check,
     because suffix gains of a winning player hold at every position. The
     witness is deterministic: shortest path to the first core vertex found,
-    then the first cycle along least-index core successors.
+    then the first cycle along least-index core successors. Successor rows
+    are expanded from the delay chains only for the vertices visited.
     """
     n = xg.n_vertices
     if not 0 <= start < n:
@@ -106,7 +127,7 @@ def exists_consistent_play(
         raise ValueError("gain profile does not match the player count")
     m = p.mask
     lose = ((1 << xg.n_players) - 1) ^ m
-    sat, owner, succ = xg.satisfied, xg.owner, xg.successors
+    sat, owner, succ = xg.satisfied, xg.owner, xg.successor_rows
     if sat[start] & lose or lam[start] and lose >> owner[start] & 1:
         return None
     goal: int | None = start if core[start] and sat[start] == m else None
@@ -148,29 +169,52 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     lam-consistent play that i loses. Such a play with gain m ends in layer
     m (satisfied set m) and stays in its down-set. So per occurring m, layer
     m alone is pruned to its :func:`_core`; a backward search from the core,
-    skipping every loser's label-1 vertex, ORs the losers (players outside
-    m) into ``canlose`` of each vertex it reaches. A vertex looping only in a
-    lower layer is not reached.
+    skipping every loser's label-1 vertex, adds each vertex it reaches to
+    the ``unsafe`` set of every loser (player outside m). A vertex looping
+    only in a lower layer is not reached.
+
+    The search runs over positions. It reaches a position when it reaches
+    one of the position's own successors, or the position its link leads
+    to; a position it reaches that is a vertex, and no skipped one, is a
+    vertex it reaches. The owner is the same along a delay chain, so the
+    flag "some successor is safe for the owner" is set per position from
+    its own row, then copied down each chain from its end.
     """
     n = len(lam)
-    owner, succ, pred = xg.owner, xg.successors, xg.predecessors
+    owner, own, pred, delay, dpred = xg.owner, xg.own, xg.own_pred, xg.delay, xg.delay_pred
     full = (1 << xg.n_players) - 1
-    # mark[v] == m: v is in the core of layer m, or the search from it reached v
-    mark, out, canlose = [-1] * n, [0] * n, [0] * n
+    # unsafe[i]: the vertices that start a lam-consistent play player i loses
+    unsafe: list[set[int]] = [set() for _ in range(xg.n_players)]
+    # mark[p] == m: p is in the core of layer m, or the search from it reached p
+    mark, out = [-1] * len(own), [0] * len(own)
     for m in xg.layers:
         lose = full ^ m
         if not lose:
-            continue  # nobody can lose a play of gain "all": the search would OR in 0
+            continue  # nobody can lose a play of gain "all"
         stack = _core(xg, lam, m, mark, out)
+        reached = []
         # predecessors never gain satisfied players, so this stays in the down-set
         while stack:
-            v = stack.pop()
-            canlose[v] |= lose
-            for u in pred[v]:
-                if mark[u] != m and not (lam[u] and lose >> owner[u] & 1):
+            p = stack.pop()
+            if p < n and not (lam[p] and lose >> owner[p] & 1):
+                reached.append(p)
+                for u in pred[p]:
+                    if mark[u] != m:
+                        mark[u] = m
+                        stack.append(u)
+            for u in dpred[p]:
+                if mark[u] != m:
                     mark[u] = m
                     stack.append(u)
-    return tuple(int(any(not canlose[w] >> i & 1 for w in ws)) for ws, i in zip(succ, owner))
+        for i, losers in enumerate(unsafe):
+            if lose >> i & 1:
+                losers.update(reached)
+    safe = [0 if unsafe[i].issuperset(ws) else 1 for ws, i in zip(own, owner)]
+    for p in xg.chain_order:
+        if not safe[p]:
+            safe[p] = safe[delay[p]]
+    del safe[n:]
+    return tuple(safe)
 
 
 def compute_lambda_star(xg: ExtendedGame) -> tuple[Labeling, int]:

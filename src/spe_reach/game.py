@@ -93,8 +93,35 @@ class ConstraintProfile(namedtuple("ConstraintProfile", "lower upper")):
         return self.lower <= p and p <= self.upper
 
 
+def chain_order(delay: Sequence[int]) -> list[int]:
+    """The positions with a delay link, each after the position its link leads to.
+
+    ``delay[p]`` is the position p's delay link leads to, or -1. Filling a
+    per-position value in this order reads the value at the end of each link
+    before the value that depends on it. Raises ``ValueError`` if the links
+    form a cycle.
+    """
+    order: list[int] = []
+    state = bytearray(len(delay))  # 0 unseen, 1 on the current walk, 2 listed
+    for p in range(len(delay)):
+        walk = []
+        while p >= 0 and not state[p]:
+            state[p] = 1
+            walk.append(p)
+            p = delay[p]
+        if p >= 0 and state[p] == 1:
+            raise ValueError(f"the delay links through position {p} form a cycle")
+        for q in reversed(walk):
+            state[q] = 2
+            if delay[q] >= 0:
+                order.append(q)
+    return order
+
+
 class FiniteGame(namedtuple(
-    "FiniteGame", "n_players alphabet vertex_names out_edges owner targets initial"
+    "FiniteGame",
+    "n_players alphabet vertex_names out_edges owner targets initial delay",
+    defaults=((),),
 )):
     """Explicit turn-based arena with per-player reachability targets.
 
@@ -102,22 +129,31 @@ class FiniteGame(namedtuple(
     edge whenever a play is there. ``targets[i]`` is the vertex set player i
     wants to visit.
 
-    ``out_edges[v]`` is the one stored edge form: the (letter, target) pairs
-    leaving v, in declaration order, each pair once. Every builder fills
-    these rows directly; ``edges`` and ``target_mask`` are views derived on
-    first access. ``owner[v]`` is a player index and ``targets`` holds
-    frozensets of vertex ids. The views and the memoized hash keep an
-    instance ``__dict__``, so this record has no ``__slots__``. Construction
-    checks that every id is in range and every letter is in the alphabet,
+    The edges are stored in delay-chain form, over positions. Positions
+    ``0 .. n_vertices - 1`` are the vertices; a game may list more positions
+    after them. ``out_edges[p]`` holds position p's own (letter, target
+    vertex) pairs, in declaration order, each pair once, and ``delay[p]`` is
+    the position p's delay link leads to, or -1. The moves of a vertex are its
+    own pairs followed by those along its chain of delay links. A region game
+    keeps the moves enabled at one clock region on its position and links it
+    to the position of the next region. A game without delay links has an
+    empty ``delay`` and one position per vertex, so ``out_edges[v]`` are all
+    of v's moves. ``rows``, ``edges`` and ``target_mask`` are views derived
+    on first access; ``rows`` lists each vertex's moves in full.
+
+    ``owner[v]`` is a player index and ``targets`` holds frozensets of vertex
+    ids. The views and the memoized hash keep an instance ``__dict__``, so
+    this record has no ``__slots__``. Construction checks that every id is in
+    range, every letter is in the alphabet and the delay links form no cycle,
     raising ``ValueError`` on the first fault, then that no vertex is
-    blocking (without an outgoing edge), naming every vertex that is.
+    blocking (without a move), naming every vertex that is.
     """
 
     # namedtuple's _make (and so _replace) skips __new__; this one checks too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
-        cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial
+        cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial, delay=()
     ) -> "FiniteGame":
         nv = len(vertex_names)
         if nv == 0:
@@ -137,8 +173,10 @@ class FiniteGame(namedtuple(
                 raise ValueError(f"targets[{i}] contains unknown vertex id {min(unknown)}")
         if not 0 <= initial < nv:
             raise ValueError(f"initial vertex id {initial} out of range")
-        if len(out_edges) != nv:
+        if len(out_edges) < nv or len(out_edges) > nv and not delay:
             raise ValueError(f"edge rows cover {len(out_edges)} of {nv} vertices")
+        if delay and len(delay) != len(out_edges):
+            raise ValueError(f"delay links cover {len(delay)} of {len(out_edges)} positions")
         letters = frozenset(alphabet)
         for src, row in enumerate(out_edges):
             for letter, dst in row:
@@ -146,13 +184,21 @@ class FiniteGame(namedtuple(
                     raise ValueError(f"edge row {src} references unknown vertex id {dst}")
                 if letter not in letters:
                     raise ValueError(f"edge letter '{letter}' not in the alphabet")
-        if not all(out_edges):
+        live = out_edges  # per position: whether it or its chain has a move
+        if delay:
+            for p, q in enumerate(delay):
+                if not -1 <= q < len(delay):
+                    raise ValueError(f"delay link of position {p} leads to unknown position {q}")
+            live = list(map(bool, out_edges))
+            for p in chain_order(delay):
+                live[p] = live[p] or live[delay[p]]
+        if not all(live[:nv]):
             raise ValueError("; ".join(
                 f"vertex '{name}' has no outgoing edge (blocking)"
-                for name, row in zip(vertex_names, out_edges) if not row
+                for name, ok in zip(vertex_names, live) if not ok
             ))
         return super().__new__(
-            cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial
+            cls, n_players, alphabet, vertex_names, out_edges, owner, targets, initial, delay
         )
 
     @property
@@ -173,10 +219,31 @@ class FiniteGame(namedtuple(
         return state
 
     @cached_property
+    def rows(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Per vertex, all its (letter, target) moves: its own pairs, then
+        those along its delay chain, each pair once where it first occurs."""
+        own, delay = self.out_edges, self.delay
+        if not delay:
+            return own
+        rows = []
+        for v in range(self.n_vertices):
+            seen: set[tuple[str, int]] = set()
+            row = []
+            p = v
+            while p >= 0:
+                for pair in own[p]:
+                    if pair not in seen:
+                        seen.add(pair)
+                        row.append(pair)
+                p = delay[p]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, str, int], ...]:
-        """All (source, letter, target) triples, grouped by source in vertex order."""
+        """All (source, letter, target) triples of ``rows``, grouped by source in vertex order."""
         return tuple(
-            (src, letter, dst) for src, row in enumerate(self.out_edges) for letter, dst in row
+            (src, letter, dst) for src, row in enumerate(self.rows) for letter, dst in row
         )
 
     @cached_property

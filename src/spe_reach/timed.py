@@ -12,10 +12,13 @@ equivalent to solving on the timed game itself.
 
 The builder interns regions: each reachable region is constructed once and
 then named by an int id, so time-successor chains share their tails through
-a memoized next-id map. The moves enabled after some delay are memoized per
-(location, region id) and reset images per (region id, reset set), so a
-guard is evaluated once per location and region, not once per reachable
-pair and delay.
+a memoized next-id map. It keeps delay and discrete moves apart, as
+on-the-fly timed-game solvers do (Cassez, David, Fleury, Larsen & Lime 2005):
+the position of a (location, region id) pair holds the moves enabled at that
+region alone and a delay link to the pair of the next region. Reset images
+are memoized per (region id, reset set), so a guard is evaluated once per
+location and region, and a region's moves are stored once, not once per
+pair whose time successors reach it.
 """
 
 from __future__ import annotations
@@ -174,6 +177,13 @@ class ClockRegion(namedtuple("ClockRegion", "maxima intervals frac_order")):
     def zero(cls, maxima: Sequence[int]) -> "ClockRegion":
         return cls(tuple(maxima), (0,) * len(maxima), ())
 
+    @classmethod
+    def _derived(cls, maxima, intervals, frac_order) -> "ClockRegion":
+        """A region that a delay or a reset made from a canonical region. It
+        is canonical too, so the checks of the constructor are skipped: they
+        take about a sixth of the region construction."""
+        return tuple.__new__(cls, (maxima, intervals, frac_order))
+
 
 def _immediate_time_successor(r: ClockRegion) -> ClockRegion | None:
     """The next region hit when time elapses, or None from the absorbing one."""
@@ -193,7 +203,7 @@ def _immediate_time_successor(r: ClockRegion) -> ClockRegion | None:
         order = r.frac_order[:-1]
     else:
         return None  # every clock is at its top index
-    return ClockRegion(r.maxima, tuple(intervals), order)
+    return ClockRegion._derived(r.maxima, tuple(intervals), order)
 
 
 def guard_sat_region(guard: Guard, r: ClockRegion) -> bool:
@@ -227,7 +237,7 @@ def reset_region(r: ClockRegion, resets: Iterable[int]) -> ClockRegion:
     for c in rs:
         intervals[c] = 0
     order = tuple(group - rs for group in r.frac_order if group - rs)
-    return ClockRegion(r.maxima, tuple(intervals), order)
+    return ClockRegion._derived(r.maxima, tuple(intervals), order)
 
 
 def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
@@ -261,13 +271,20 @@ _Move = tuple[str, tuple[int, int]]
 
 
 class RegionGame(NamedTuple):
-    """Finite game over the reachable (location, region) pairs of a PPTA."""
+    """Finite game over the reachable (location, region) pairs of a PPTA.
+
+    ``game`` is in delay-chain form: a position per (location, region) pair
+    walked, holding the moves enabled at that region, and a delay link to
+    the position of (location, next region). ``origin`` covers the vertices.
+    """
 
     game: FiniteGame
     origin: tuple[tuple[int, ClockRegion], ...]
 
 
-def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
+def build_region_game(
+    a: PPTA, max_vertices: int | None = None, max_regions: int | None = None
+) -> RegionGame:
     """Construct the reachable region game of a.
 
     From a pair (location, region), one edge exists per transition of the
@@ -276,30 +293,32 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
     after resets. A reachable pair with no edge at all blocks the arena and
     is reported as an error.
 
-    Each region gets an int id the first time it is reached;
-    ``max_vertices`` caps the number of ids as well as the number of
-    vertices, so a long time-successor chain is cut off before it is built.
-    The immediate time successor and the reset images are memoized per id.
-    The moves of a pair, as (letter, (target, image id)) entries, are
-    memoized per (location, id): the moves enabled at the region itself,
-    then those of (location, immediate successor) not already listed. That
-    is the first-occurrence order of a walk over the whole time-successor
-    chain, so vertices come out in that order, and each vertex's
-    ``out_edges`` row is its moves in that order, each once.
+    The game is stored in delay-chain form: the position of a pair holds
+    the moves enabled at its region itself, each once, and links to the
+    pair of the immediate time successor. Each region gets an int id the
+    first time it is reached; ``max_regions`` caps the number of ids, so a
+    long time-successor chain is cut off before it is built, and
+    ``max_vertices`` caps the number of vertices. The immediate time
+    successor and the reset images are memoized per id.
+
+    The BFS walks the chain of a vertex the first time it reaches it, to its
+    end or to the first position already walked, and numbers the targets
+    along the walk in chain order. That is the first-occurrence order of a
+    walk over the whole time-successor chain, so vertices come out in that
+    order. Positions that are no vertex get ids after the vertices.
     """
     regions: list[ClockRegion] = []
     region_id: dict[ClockRegion, int] = {}
     successor: dict[int, int | None] = {}
     images: dict[tuple[int, frozenset[int]], int] = {}
-    moves: dict[tuple[int, int], tuple[_Move, ...]] = {}
 
     def intern(r: ClockRegion) -> int:
         rid = region_id.get(r)
         if rid is None:
             rid = len(regions)
-            if max_vertices is not None and rid >= max_vertices:
+            if max_regions is not None and rid >= max_regions:
                 raise SizeCapError(
-                    f"region game would exceed the cap of {max_vertices} clock regions"
+                    f"region game would exceed the cap of {max_regions} clock regions"
                 )
             region_id[r] = rid
             regions.append(r)
@@ -326,50 +345,56 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
             out.append((t.letter, (t.target, image)))
         return out
 
-    def moves_from(loc: int, rid: int) -> tuple[_Move, ...]:
-        # walk forward to the chain's end or the first pair already memoized,
-        # then fill the memo backwards so the pairs on the walk share its tail
-        walk = []
-        tail: tuple[_Move, ...] = ()
-        step: int | None = rid
-        while step is not None:
-            known = moves.get((loc, step))
-            if known is not None:
-                tail = known
-                break
-            walk.append(step)
-            step = next_id(step)
-        for step in reversed(walk):
-            here = enabled(loc, step)
-            if here:
-                tail = tuple(dict.fromkeys(here + list(tail)))
-            moves[(loc, step)] = tail
-        return tail
-
     start = (a.initial, intern(ClockRegion.zero(a.maxima)))
     order: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
-    rows: list[tuple[tuple[str, int], ...]] = []
+    # per walked position: whether a move is enabled somewhere along its chain
+    live: dict[tuple[int, int], bool] = {}
+    own: dict[tuple[int, int], tuple[tuple[str, int], ...]] = {}
     # pairs grows while it is walked: visiting ids in order is the BFS
     for loc, rid in pairs:
-        out = moves_from(loc, rid)
-        if not out:
+        # walk forward to the chain's end or the first position already
+        # walked, then read the moves backwards, so that each position knows
+        # whether its chain has one
+        walk = []
+        step: int | None = rid
+        while step is not None and (loc, step) not in live:
+            walk.append(step)
+            step = next_id(step)
+        alive = step is not None and live[(loc, step)]
+        moves = []
+        for step in reversed(walk):
+            here = enabled(loc, step)
+            alive = alive or bool(here)
+            live[(loc, step)] = alive
+            moves.append(here)
+        if not live[(loc, rid)]:
             raise DeadlockedRegionError(
                 a.location_names[loc], describe_region(regions[rid], a.clock_names)
             )
-        row = []
-        for letter, succ in out:
-            xj = order.get(succ)
-            if xj is None:
-                xj = len(pairs)
-                if max_vertices is not None and xj >= max_vertices:
-                    raise SizeCapError(
-                        f"region game would exceed the cap of {max_vertices} vertices"
-                    )
-                order[succ] = xj
-                pairs.append(succ)
-            row.append((letter, xj))
-        rows.append(tuple(row))
+        for step, here in zip(walk, reversed(moves)):
+            row: list[tuple[str, int]] = []
+            for letter, succ in here:
+                xj = order.get(succ)
+                if xj is None:
+                    xj = len(pairs)
+                    if max_vertices is not None and xj >= max_vertices:
+                        raise SizeCapError(
+                            f"region game would exceed the cap of {max_vertices} vertices"
+                        )
+                    order[succ] = xj
+                    pairs.append(succ)
+                if (letter, xj) not in row:
+                    row.append((letter, xj))
+            own[(loc, step)] = tuple(row)
+    n = len(pairs)
+    extra = [pos for pos in own if pos not in order]
+    for x, pos in enumerate(extra, n):
+        order[pos] = x
+    positions = pairs + extra
+    delay = tuple(
+        -1 if successor[rid] is None else order[(loc, successor[rid])] for loc, rid in positions
+    )
     if a.n_clocks:
         text = {rid: describe_region(regions[rid], a.clock_names) for rid in {r for _, r in pairs}}
         names = tuple(f"{a.location_names[loc]}|{text[rid]}" for loc, rid in pairs)
@@ -384,9 +409,10 @@ def build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:
         n_players=a.n_players,
         alphabet=a.alphabet,
         vertex_names=names,
-        out_edges=tuple(rows),
+        out_edges=tuple(own[pos] for pos in positions),
         owner=owners,
         targets=targets,
         initial=0,
+        delay=delay if max(delay) >= 0 else (),  # no clock: no delay link
     )
     return RegionGame(game=game, origin=tuple((loc, regions[rid]) for loc, rid in pairs))

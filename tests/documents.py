@@ -101,3 +101,26 @@ ZERO_CLOCK_PPTA = {
     "goals": [["B"]],
     "initial": "A",
 }
+
+# two players and no unguarded move: the position of l0 at every region
+# after the reset sees the moves of the later regions through its delay
+# links, and most of those positions are reached by no move
+GUARDED_PPTA = {
+    "players": 2,
+    "alphabet": ["a", "b"],
+    "clocks": ["x"],
+    "locations": [
+        {"name": "l0", "owner": 0},
+        {"name": "l1", "owner": 1},
+        {"name": "l2", "owner": 0},
+    ],
+    "transitions": [
+        {"from": "l0", "letter": "a", "guard": [{"clock": "x", "op": "le", "const": 1}], "reset": [], "to": "l1"},
+        {"from": "l0", "letter": "b", "guard": [{"clock": "x", "op": "gt", "const": 1}], "reset": [], "to": "l2"},
+        {"from": "l1", "letter": "a", "guard": [{"clock": "x", "op": "ge", "const": 0}], "reset": [], "to": "l1"},
+        {"from": "l1", "letter": "b", "guard": [{"clock": "x", "op": "ge", "const": 2}], "reset": ["x"], "to": "l0"},
+        {"from": "l2", "letter": "b", "guard": [{"clock": "x", "op": "ge", "const": 0}], "reset": [], "to": "l2"},
+    ],
+    "goals": [["l1"], ["l2"]],
+    "initial": "l0",
+}

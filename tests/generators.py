@@ -157,6 +157,39 @@ def random_ppta(rng: random.Random, max_locations: int = 4, max_const: int = 3) 
     )
 
 
+def looping_ppta(
+    rng: random.Random, n_locations: int = 10, n_clocks: int = 2, max_const: int = 4
+) -> PPTA:
+    """A one-player automaton in the shape of the benchmark's timed automata.
+
+    Every location has an unguarded self-loop and three more transitions to
+    uniform targets, each with 0-2 guard atoms (uniform comparator, constant
+    in 0..max_const) and each clock reset with probability 0.3; one location
+    is the goal. Its region games have long delay chains, and every position
+    on them is a vertex.
+    """
+    transitions = []
+    for loc in range(n_locations):
+        transitions.append(Transition(loc, "a", (), frozenset(), loc))
+        for _ in range(3):
+            guard = tuple(
+                GuardAtom(rng.randrange(n_clocks), rng.choice(COMPARATORS), rng.randint(0, max_const))
+                for _ in range(rng.randint(0, 2))
+            )
+            resets = frozenset(c for c in range(n_clocks) if rng.random() < 0.3)
+            transitions.append(Transition(loc, "a", guard, resets, rng.randrange(n_locations)))
+    return PPTA(
+        n_players=1,
+        alphabet=("a",),
+        clock_names=tuple(f"x{c}" for c in range(n_clocks)),
+        location_names=tuple(f"l{loc}" for loc in range(n_locations)),
+        owners=(0,) * n_locations,
+        transitions=tuple(transitions),
+        goals=(frozenset({rng.randrange(n_locations)}),),
+        initial=0,
+    )
+
+
 def guarded_ppta(rng: random.Random, max_locations: int = 5, max_const: int = 6) -> PPTA:
     """A random two-player timed automaton whose guards decide more than random_ppta's.
 

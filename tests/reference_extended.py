@@ -76,7 +76,7 @@ def adjacency_matches(xg: ExtendedGame, edges: tuple[tuple[int, str, int], ...])
     the edge triples, each neighbour once and in ascending order."""
     arcs = sorted({(src, dst) for src, _, dst in edges})
     return (
-        len(xg.successors) == len(xg.predecessors) == len(xg.origin)
+        len(xg.successors) == len(xg.predecessors) == xg.n_vertices
         and [(x, y) for x, row in enumerate(xg.successors) for y in row] == arcs
         and [(y, x) for y, row in enumerate(xg.predecessors) for x in row] == sorted(
             (y, x) for x, y in arcs

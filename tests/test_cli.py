@@ -17,7 +17,7 @@ from spe_reach.game import ConstraintProfile
 from spe_reach.jsonio import dump_finite_game, load_finite_game, load_ppta
 from spe_reach.oracle import oracle_outcomes
 
-from documents import FORK_GAME, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA
+from documents import FORK_GAME, GUARDED_PPTA, ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA
 from generators import random_games
 
 @pytest.fixture
@@ -392,6 +392,17 @@ class TestSolveTimedCommand:
         assert main(["solve-timed", one_clock_file, "--player", "0=win", "--oracle"]) == 0
         assert "oracle: AGREE" in capsys.readouterr().out
 
+    def test_oracle_flag_on_positions_no_move_reaches(self, tmp_path, capsys):
+        # the oracle reads the full successor rows, which the solver never
+        # builds; this region game has 10 vertices on 15 positions
+        path = tmp_path / "guarded.json"
+        path.write_text(json.dumps(GUARDED_PPTA), encoding="utf-8")
+        game = cli.build_region_game(load_ppta(path)).game
+        assert len(game.out_edges) > game.n_vertices
+        for spec in ("0=win", "0=lose", "1=win", "1=lose"):
+            main(["solve-timed", str(path), "--player", spec, "--oracle"])
+            assert capsys.readouterr().out.splitlines()[-1] == "oracle: AGREE"
+
     def test_deadlock_exit_2(self, tmp_path, capsys):
         broken = json.loads(json.dumps(ONE_CLOCK_PPTA))
         # l2 only admits b while c is exactly 0, which never holds on arrival
@@ -417,9 +428,28 @@ class TestSolveTimedCommand:
         }
         path = tmp_path / "long-wait.json"
         path.write_text(json.dumps(long_wait), encoding="utf-8")
-        monkeypatch.setenv("SPE_REACH_MAX_EXT_VERTICES", "1000")
+        monkeypatch.setenv("SPE_REACH_MAX_REGIONS", "1000")
         assert main(["solve-timed", str(path)]) == 3
         assert "cap of 1000 clock regions" in capsys.readouterr().err
+
+
+    def test_region_limit_is_its_own(self, one_clock_file, monkeypatch, capsys):
+        # the game has 6 vertices over the 4 clock regions of one clock
+        # compared against 1
+        monkeypatch.setenv("SPE_REACH_MAX_REGIONS", "3")
+        assert main(["solve-timed", one_clock_file]) == 3
+        assert capsys.readouterr().err == "error: region game would exceed the cap of 3 clock regions\n"
+        monkeypatch.setenv("SPE_REACH_MAX_REGIONS", "4")
+        assert main(["regions", one_clock_file]) == 0
+        monkeypatch.setenv("SPE_REACH_MAX_EXT_VERTICES", "5")
+        assert main(["regions", one_clock_file]) == 3
+        assert capsys.readouterr().err.endswith("error: region game would exceed the cap of 5 vertices\n")
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "many"])
+    def test_bad_region_limit_exit_2(self, one_clock_file, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SPE_REACH_MAX_REGIONS", raw)
+        assert main(["regions", one_clock_file]) == 2
+        assert capsys.readouterr().err.startswith("error: SPE_REACH_MAX_REGIONS must be")
 
 
 class TestRegionsCommand:

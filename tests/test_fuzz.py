@@ -22,7 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spe_reach.cli import ENV_MAX_EXT_VERTICES, main
+from spe_reach.cli import ENV_MAX_EXT_VERTICES, ENV_MAX_REGIONS, main
 from spe_reach.errors import DeadlockedRegionError, InputError, SizeCapError
 from spe_reach.jsonio import load_finite_game, load_ppta
 from spe_reach.timed import build_region_game
@@ -35,6 +35,7 @@ from documents import (
     TWO_CLOCK_PPTA,
     ZERO_CLOCK_PPTA,
 )
+from reference_regions import expanded
 
 FINITE_DOCUMENTS = (FORK_GAME, CHAIN_GAME, LOOP_GAME)
 PPTA_DOCUMENTS = (ONE_CLOCK_PPTA, TWO_CLOCK_PPTA, ZERO_CLOCK_PPTA)
@@ -135,6 +136,7 @@ def near_miss_automata(draw):
 def input_path(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv(ENV_MAX_EXT_VERTICES, "64")
+        mp.setenv(ENV_MAX_REGIONS, "64")
         yield tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
@@ -195,7 +197,7 @@ def test_mutated_automata_load_well_formed_or_not_at_all(input_path, data):
         assert (status, out.getvalue(), err.getvalue()) == (2, "", _error_line(exc))
     else:
         try:
-            build_region_game(a, max_vertices=64)
+            build_region_game(a, max_vertices=64, max_regions=64)
         except (DeadlockedRegionError, SizeCapError):
             pass
 
@@ -275,9 +277,10 @@ def test_renamed_documents_keep_their_exit_codes(input_path, pair):
 def test_printed_region_games_load_back_on_any_stdout(input_path, pair):
     # regions (to stdout under UTF-8 and ASCII, and to --output) and the
     # region game block of solve-timed --regions all print JSON that loads
-    # back into the region game itself, whatever the names are
+    # back into the region game itself, its delay chains expanded, whatever
+    # the names are
     input_path.write_text(json.dumps(pair[1]), encoding="utf-8")
-    expected = build_region_game(load_ppta(input_path)).game
+    expected = expanded(build_region_game(load_ppta(input_path)).game)
     output = input_path.with_name("regions.json")
     texts = []
     for encoding in ("utf-8", "ascii"):

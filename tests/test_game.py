@@ -410,12 +410,32 @@ class TestRecords:
         ({"out_edges": ((("a", 7),), ())}, "edge row 0 references unknown vertex id 7"),
         ({"out_edges": ((), (("b", 1),))}, "edge letter 'b' not in the alphabet"),
         ({"out_edges": ((), ()), "initial": 2}, "initial vertex id 2 out of range"),
+        # positions past the vertices need delay links, one per position
+        ({"out_edges": ((("a", 1),), (("a", 1),), ())}, "edge rows cover 3 of 2 vertices"),
+        ({"out_edges": ((("a", 1),), (("a", 1),), ()), "delay": (2, -1)}, "delay links cover 2 of 3 positions"),
+        ({"delay": (5, -1)}, "delay link of position 0 leads to unknown position 5"),
+        ({"delay": (1, 0)}, "the delay links through position 0 form a cycle"),
+        # no move on the vertex's position nor along its chain
+        ({"out_edges": ((), (("a", 1),), ()), "delay": (2, -1, -1)}, "vertex 'A' has no outgoing edge (blocking)"),
     ])
     def test_bad_games_rejected(self, chain_game, changes, message):
         # _replace goes through _make, so it checks as construction does
         with pytest.raises(ValueError) as excinfo:
             chain_game._replace(**changes)
         assert str(excinfo.value) == message
+
+    def test_delay_links_give_a_vertex_the_moves_along_its_chain(self, chain_game):
+        # A's position has no move of its own; its chain runs through the
+        # positions 2 and 3, which are no vertex, and 3 repeats B's move
+        g = chain_game._replace(
+            out_edges=((), (("a", 1),), (("a", 0),), (("a", 1),)), delay=(2, -1, 3, -1)
+        )
+        assert g.rows == ((("a", 0), ("a", 1)), (("a", 1),))
+        assert g.edges == ((0, "a", 0), (0, "a", 1), (1, "a", 1))
+        full = g._replace(out_edges=g.rows, delay=())
+        ours, theirs = fixpoint.analyze(g), fixpoint.analyze(full)
+        assert ours.extended_game.successors == theirs.extended_game.successors
+        assert ours[1:] == theirs[1:]
 
     def test_keyword_construction(self, chain_game):
         assert GainProfile(mask=2, n=2) == GainProfile(2, 2)
@@ -444,9 +464,10 @@ class TestRecords:
 
     def test_extended_game_compares_base_and_origin_only(self, fork_game):
         xg = fixpoint.analyze(fork_game).extended_game
-        bare = ExtendedGame(xg.base, xg.origin, (), (), ())
+        rest = ((),) * (len(ExtendedGame._fields) - 2)
+        bare = ExtendedGame(xg.base, xg.origin, *rest)
         assert bare == xg and hash(bare) == hash(xg) and not bare != xg
-        assert ExtendedGame(xg.base, xg.origin[:1], (), (), ()) != xg
+        assert ExtendedGame(xg.base, xg.origin[:1], *rest) != xg
 
     def test_records_survive_pickling(self, fork_game):
         for record, _ in _solver_records(fork_game):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spe_reach.errors import DeadlockedRegionError, SizeCapError
 from spe_reach.extended import build_extended_game
-from spe_reach.fixpoint import decide_constrained_existence
+from spe_reach.fixpoint import analyze, decide_constrained_existence
 from spe_reach.game import ConstraintProfile
 from spe_reach.oracle import oracle_outcomes
 from spe_reach.timed import (
@@ -35,7 +35,7 @@ from clock_samples import (
     time_successors,
 )
 from generators import guarded_ppta, random_ppta
-from reference_regions import reference_build_region_game
+from reference_regions import expanded, reference_build_region_game
 
 
 def _region(maxima, clipped, order=()):
@@ -130,6 +130,18 @@ class TestTimeSuccessors:
             for target in chain:
                 d = delay_reaching(nu, target, maxima)
                 assert region_of([v + d for v in nu], maxima) == target
+
+
+    @pytest.mark.parametrize("maxima", [(0,), (2,), (1, 1), (2, 1), (1, 0, 2)])
+    def test_successors_and_resets_pass_the_checks(self, maxima):
+        # both skip the constructor's checks, because they keep a region canonical
+        for r in all_regions(maxima):
+            resets = [
+                reset_region(r, [c for c in range(len(maxima)) if bits >> c & 1])
+                for bits in range(1 << len(maxima))
+            ]
+            for d in [*time_successors(r), *resets]:
+                assert ClockRegion(*d) == d
 
 
 class TestGuardSatRegion:
@@ -400,7 +412,7 @@ class TestTimedRecords:
 def assert_matches_reference(a: PPTA) -> None:
     rg = build_region_game(a)
     ref, triples = reference_build_region_game(a)
-    assert rg == ref
+    assert rg._replace(game=expanded(rg.game)) == ref
     assert rg.game.edges == triples
 
 
@@ -443,8 +455,10 @@ class TestBuildRegionGame:
         lose = ConstraintProfile.from_words(["lose"])
         assert decide_constrained_existence(rg.game, win).answer
         assert not decide_constrained_existence(rg.game, lose).answer
-        # the builder fills the edge rows and the solver reads only those
-        assert "edges" not in rg.game.__dict__
+        # the solver reads the delay-chain form alone: no full row is built
+        assert not {"rows", "edges"} & rg.game.__dict__.keys()
+        xg = analyze(rg.game).extended_game
+        assert not {"successors", "predecessors", "game"} & xg.__dict__.keys()
         outcomes = oracle_outcomes(build_extended_game(rg.game))
         assert any(map(win.admits, outcomes))
         assert not any(map(lose.admits, outcomes))
@@ -476,7 +490,7 @@ class TestBuildRegionGame:
         # the guard's time-successor chain has about 6M regions; the cap must
         # stop the construction long before that chain is built
         with pytest.raises(SizeCapError, match="cap of 1000 clock regions"):
-            build_region_game(long_wait_ppta(3_000_000), max_vertices=1000)
+            build_region_game(long_wait_ppta(3_000_000), max_regions=1000)
 
     def test_matches_reference_on_random_automata(self):
         rng = random.Random(41)
