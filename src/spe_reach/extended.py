@@ -22,6 +22,7 @@ benchmark's tracer and tests build.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 
 from .errors import SizeCapError
@@ -42,10 +43,12 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner own delay own_p
     reaches come after them. ``origin[p]`` gives the (base position,
     satisfied players mask) pair behind position p. An extended vertex
     belongs to player i's target set exactly when i is in its satisfied
-    mask. Per position, ``owner`` is the owner along its chain, ``own`` its
-    own successor vertices, ascending, each once, and ``delay`` the position
-    its link leads to, or -1; ``own_pred[w]`` lists, ascending, the positions
-    whose ``own`` row holds vertex w. All of these are derived from base and
+    mask. Per position, ``owner`` is the owner of its base position, which
+    :class:`FiniteGame` checks to be the same along a chain, ``own`` its own
+    successor vertices, ascending, each once, and ``delay`` the position its
+    link leads to, or -1 (``delay`` is empty, as in the base game, without
+    links); ``own_pred[w]`` lists, ascending, the positions whose ``own``
+    row holds vertex w. All of these are derived from base and
     origin, so equality and hashing look at those two only. The cached views
     keep an instance ``__dict__``, so this record has no ``__slots__``.
     """
@@ -98,9 +101,7 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner own delay own_p
     @cached_property
     def delay_pred(self) -> tuple[tuple[int, ...], ...]:
         """Per position, the positions whose delay link leads to it."""
-        if not self.base.delay:
-            return ((),) * len(self.delay)
-        pred: list[list[int]] = [[] for _ in self.delay]
+        pred: list[list[int]] = [[] for _ in self.own]
         for p, q in enumerate(self.delay):
             if q >= 0:
                 pred[q].append(p)
@@ -109,29 +110,21 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner own delay own_p
     @cached_property
     def chain_order(self) -> tuple[int, ...]:
         """The positions with a delay link, each after its link's position."""
-        return tuple(chain_order(self.delay)) if self.base.delay else ()
+        return tuple(chain_order(self.delay))
 
     @cached_property
-    def successor_rows(self) -> tuple[tuple[int, ...], ...] | dict[int, tuple[int, ...]]:
+    def successors(self) -> Sequence[tuple[int, ...]]:
         """Per vertex, its successors, ascending: its own and those along its
-        chain. Without delay links this is ``own``; with them, a mapping
+        chain. Without delay links this is ``own``; with them, a sequence
         that expands a vertex's chain when it is first looked up."""
-        if not self.chain_order:
+        if not self.delay:
             return self.own
-        return _Rows(self.own, self.delay)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Every vertex's :attr:`successor_rows` entry."""
-        rows = self.successor_rows
-        if isinstance(rows, tuple):
-            return rows
-        return tuple(rows[v] for v in range(self.n_vertices))
+        return _Rows(self.own, self.delay, self.n_vertices)
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the vertices that have it among their ``successors``, ascending."""
-        if not self.chain_order:
+        if not self.delay:
             return self.own_pred
         pred: list[list[int]] = [[] for _ in self.own_pred]
         for v, row in enumerate(self.successors):
@@ -176,21 +169,27 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner own delay own_p
         )
 
 
-class _Rows(dict):
-    """Successor rows of positions in delay-chain form, each expanded on first lookup."""
+class _Rows(Sequence):
+    """Successor rows of the vertices in delay-chain form, each expanded on first lookup."""
 
-    def __init__(self, own: tuple[tuple[int, ...], ...], delay: tuple[int, ...]) -> None:
-        super().__init__()
-        self.own, self.delay = own, delay
+    def __init__(self, own: tuple[tuple[int, ...], ...], delay: tuple[int, ...], n: int) -> None:
+        self._own, self._delay = own, delay
+        self._rows: list[tuple[int, ...] | None] = [None] * n
 
-    def __missing__(self, v: int) -> tuple[int, ...]:
-        own, delay = self.own, self.delay
-        found = set(own[v])
-        p = delay[v]
-        while p >= 0:
-            found.update(own[p])
-            p = delay[p]
-        row = self[v] = tuple(sorted(found))
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        row = self._rows[v]
+        if row is None:
+            v %= len(self._rows)
+            own, delay = self._own, self._delay
+            found = set(own[v])
+            p = delay[v]
+            while p >= 0:
+                found.update(own[p])
+                p = delay[p]
+            row = self._rows[v] = tuple(sorted(found))
         return row
 
 
@@ -215,13 +214,11 @@ def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> Exten
     start = (g.initial, tm[g.initial])
     order: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
-    owner: list[int] = []
     own: list[tuple[int, ...]] = []
     pred: list[list[int]] = [[]]
-    walked: dict[tuple[int, int], int] = {}  # position -> the owner along its chain
+    walked: set[tuple[int, int]] = set()
     # pairs grows while it is walked: visiting ids in order is the BFS
     for xi, (v, sat) in enumerate(pairs):
-        owner.append(base_owner[v])
         row: list[int] = []
         for _, dst in base_own[v]:
             nxt = (dst, sat | tm[dst])
@@ -237,10 +234,10 @@ def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> Exten
         row.sort()
         own.append(tuple(row))
         if base_delay:
-            walked[pairs[xi]] = base_owner[v]
+            walked.add(pairs[xi])
             p = base_delay[v]
             while p >= 0 and (p, sat) not in walked:
-                walked[(p, sat)] = base_owner[v]
+                walked.add((p, sat))
                 for _, dst in base_own[p]:
                     nxt = (dst, sat | tm[dst])
                     if nxt not in order:
@@ -250,25 +247,22 @@ def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> Exten
                 p = base_delay[p]
         if max_vertices is not None and len(pairs) > max_vertices:
             raise SizeCapError(f"extended game would exceed the cap of {max_vertices} vertices")
-    for pos, who in walked.items():
+    for pos in walked:
         if pos not in order:  # no move reaches it
             x = order[pos] = len(pairs)
             pairs.append(pos)
-            owner.append(who)
             p, sat = pos
             row = sorted({order[(dst, sat | tm[dst])] for _, dst in base_own[p]})
             own.append(tuple(row))
             for xj in row:
                 pred[xj].append(x)
-    delay = (-1,) * len(pairs)
-    if base_delay:
-        delay = tuple(
-            -1 if base_delay[p] < 0 else order[(base_delay[p], sat)] for p, sat in pairs
-        )
+    delay = tuple(
+        -1 if base_delay[p] < 0 else order[(base_delay[p], sat)] for p, sat in pairs
+    ) if base_delay else ()
     return ExtendedGame(
         base=g,
         origin=tuple(pairs),
-        owner=tuple(owner),
+        owner=tuple(base_owner[p] for p, _ in pairs),
         own=tuple(own),
         delay=delay,
         own_pred=tuple(map(tuple, pred)),

@@ -127,7 +127,7 @@ def exists_consistent_play(
         raise ValueError("gain profile does not match the player count")
     m = p.mask
     lose = ((1 << xg.n_players) - 1) ^ m
-    sat, owner, succ = xg.satisfied, xg.owner, xg.successor_rows
+    sat, owner, succ = xg.satisfied, xg.owner, xg.successors
     if sat[start] & lose or lam[start] and lose >> owner[start] & 1:
         return None
     goal: int | None = start if core[start] and sat[start] == m else None
@@ -176,11 +176,13 @@ def lambda_step(xg: ExtendedGame, lam: Labeling) -> Labeling:
     The search runs over positions. It reaches a position when it reaches
     one of the position's own successors, or the position its link leads
     to; a position it reaches that is a vertex, and no skipped one, is a
-    vertex it reaches. The owner is the same along a delay chain, so the
-    flag "some successor is safe for the owner" is set per position from
-    its own row, then copied down each chain from its end.
+    vertex it reaches. A chain keeps its owner (:class:`FiniteGame` checks
+    it), so the flag "some successor is safe for the owner" is set per
+    position from its own row, then copied down each chain from its end.
     """
     n = len(lam)
+    if n != xg.n_vertices:
+        raise ValueError("labeling must be total over the extended vertices")
     owner, own, pred, delay, dpred = xg.owner, xg.own, xg.own_pred, xg.delay, xg.delay_pred
     full = (1 << xg.n_players) - 1
     # unsafe[i]: the vertices that start a lam-consistent play player i loses

@@ -141,12 +141,13 @@ class FiniteGame(namedtuple(
     of v's moves. ``rows``, ``edges`` and ``target_mask`` are views derived
     on first access; ``rows`` lists each vertex's moves in full.
 
-    ``owner[v]`` is a player index and ``targets`` holds frozensets of vertex
-    ids. The views and the memoized hash keep an instance ``__dict__``, so
-    this record has no ``__slots__``. Construction checks that every id is in
-    range, every letter is in the alphabet and the delay links form no cycle,
-    raising ``ValueError`` on the first fault, then that no vertex is
-    blocking (without a move), naming every vertex that is.
+    ``owner[p]`` is the owner of position p; a delay is no move, so a link
+    joins positions of one owner. ``targets`` holds frozensets of vertex ids.
+    The views and the memoized hash keep an instance ``__dict__``, so this
+    record has no ``__slots__``. Construction checks that every id is in
+    range, every letter is in the alphabet and every link keeps its owner
+    and forms no cycle, raising ``ValueError`` on the first fault, then that
+    no vertex is blocking (without a move), naming every vertex that is.
     """
 
     # namedtuple's _make (and so _replace) skips __new__; this one checks too
@@ -158,13 +159,14 @@ class FiniteGame(namedtuple(
         nv = len(vertex_names)
         if nv == 0:
             raise ValueError("game has no vertices")
-        if len(owner) != nv:
-            raise ValueError(f"owner map covers {len(owner)} of {nv} vertices")
-        for name, player in zip(vertex_names, owner):
+        npos = len(delay) or nv
+        if len(owner) != npos:
+            unit = "positions" if delay else "vertices"
+            raise ValueError(f"owner map covers {len(owner)} of {npos} {unit}")
+        for p, player in enumerate(owner):
             if not 0 <= player < n_players:
-                raise ValueError(
-                    f"vertex '{name}': owner {player} out of range for {n_players} players"
-                )
+                where = f"vertex '{vertex_names[p]}'" if p < nv else f"position {p}"
+                raise ValueError(f"{where}: owner {player} out of range for {n_players} players")
         if len(targets) != n_players:
             raise ValueError(f"expected {n_players} target sets, got {len(targets)}")
         for i, ts in enumerate(targets):
@@ -189,6 +191,8 @@ class FiniteGame(namedtuple(
             for p, q in enumerate(delay):
                 if not -1 <= q < len(delay):
                     raise ValueError(f"delay link of position {p} leads to unknown position {q}")
+                if q >= 0 and owner[p] != owner[q]:
+                    raise ValueError(f"delay link of position {p} to position {q} joins two owners")
             live = list(map(bool, out_edges))
             for p in chain_order(delay):
                 live[p] = live[p] or live[delay[p]]

@@ -400,7 +400,7 @@ def build_region_game(
         names = tuple(f"{a.location_names[loc]}|{text[rid]}" for loc, rid in pairs)
     else:
         names = tuple(a.location_names[loc] for loc, _ in pairs)
-    owners = tuple(a.owners[loc] for loc, _ in pairs)
+    owners = tuple(a.owners[loc] for loc, _ in positions)
     targets = tuple(
         frozenset(x for x, (loc, _) in enumerate(pairs) if loc in a.goals[i])
         for i in range(a.n_players)

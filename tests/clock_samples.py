@@ -13,7 +13,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from spe_reach.timed import ClockRegion, Guard, _immediate_time_successor
+from spe_reach.timed import (
+    PPTA,
+    ClockRegion,
+    Guard,
+    _immediate_time_successor,
+    build_region_game,
+    guard_sat_region,
+    reset_region,
+)
 
 ClockValuation = tuple[Fraction, ...]
 
@@ -189,3 +197,38 @@ def delay_reaching(
         current = tuple(v + d for v in current)
         total += d
     raise AssertionError("target region is not on the time-successor chain")
+
+
+def assert_edges_concretely_realizable(
+    a: PPTA, rng: random.Random, sample: int | None = None
+) -> int:
+    """Check that each region-game edge (or ``sample`` of them, drawn with
+    rng) is taken by a concrete member of its source region: for every delay
+    and transition the regions allow, the delayed valuation satisfies the
+    guard and lands, reset, in the target region. Draws one member per edge
+    and returns the number of edges checked."""
+    rg = build_region_game(a)
+    maxima = a.maxima
+    edges = rg.game.edges
+    if sample is not None:
+        edges = rng.sample(edges, min(sample, len(edges)))
+    for src, letter, dst in edges:
+        loc, reg = rg.origin[src]
+        loc2, reg2 = rg.origin[dst]
+        nu = random_member(reg, rng)
+        realized = False
+        for elapsed in time_successors(reg):
+            for t in a.transitions_from[loc]:
+                if t.letter != letter or t.target != loc2:
+                    continue
+                if not guard_sat_region(t.guard, elapsed):
+                    continue
+                if reset_region(elapsed, t.resets) != reg2:
+                    continue
+                d = delay_reaching(nu, elapsed, maxima)
+                shifted = [v + d for v in nu]
+                assert guard_sat_valuation(t.guard, shifted)
+                assert region_of(reset_valuation(shifted, t.resets), maxima) == reg2
+                realized = True
+        assert realized, (src, letter, dst)
+    return len(edges)

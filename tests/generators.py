@@ -109,6 +109,60 @@ def random_game(
             return g
 
 
+def random_chain_game(
+    rng: random.Random, max_vertices: int = 7, max_hidden: int = 4, max_players: int = 3
+) -> FiniteGame:
+    """A random game in delay-chain form, of shapes that no region game has.
+
+    It has 2 to max_vertices vertices and up to max_hidden more positions,
+    which no move reaches. The delay links form a random acyclic forest:
+    they lead from vertices to vertices as well as to hidden positions, and
+    chains merge where several links lead to one position. Each link tree
+    gets one owner, drawn at its root (the position without a link), so no
+    link joins two owners. Each position holds 0-2 moves; a vertex with no
+    move along its chain gets one at the chain's end, so none is blocking.
+    """
+    n = rng.randint(2, max_vertices)
+    n_pos = n + rng.randint(0, max_hidden)
+    n_players = rng.randint(1, max_players)
+    alphabet = ("a", "b")
+    # a link leads only forward in a random order of the positions, so no
+    # cycle; the first position in that order always has one
+    rank = list(range(n_pos))
+    rng.shuffle(rank)
+    delay = [-1] * n_pos
+    for i, p in enumerate(rank[:-1]):
+        if i == 0 or rng.random() < 0.6:
+            delay[p] = rng.choice(rank[i + 1 :])
+    root = list(range(n_pos))
+    for p in reversed(rank):
+        if delay[p] >= 0:
+            root[p] = root[delay[p]]
+    tree_owner = [rng.randrange(n_players) for _ in range(n_pos)]
+    own = [
+        {(rng.choice(alphabet), rng.randrange(n)) for _ in range(rng.randint(0, 2))}
+        for _ in range(n_pos)
+    ]
+    for v in range(n):
+        p = v
+        while not own[p] and delay[p] >= 0:
+            p = delay[p]
+        if not own[p]:
+            own[p].add(("a", rng.randrange(n)))
+    return FiniteGame(
+        n_players=n_players,
+        alphabet=alphabet,
+        vertex_names=tuple(f"v{i}" for i in range(n)),
+        out_edges=tuple(tuple(sorted(row)) for row in own),
+        owner=tuple(tree_owner[root[p]] for p in range(n_pos)),
+        targets=tuple(
+            frozenset(v for v in range(n) if rng.random() < 0.3) for _ in range(n_players)
+        ),
+        initial=rng.randrange(n),
+        delay=tuple(delay),
+    )
+
+
 def random_games(count: int, seed: int, **kwargs) -> list[FiniteGame]:
     rng = random.Random(seed)
     return [random_game(rng, **kwargs) for _ in range(count)]

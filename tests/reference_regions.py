@@ -110,7 +110,7 @@ def reference_build_region_game(
 
 def expanded(g: FiniteGame) -> FiniteGame:
     """g with every vertex's moves in one row and no delay link."""
-    return g._replace(out_edges=g.rows, delay=())
+    return g._replace(out_edges=g.rows, owner=g.owner[: g.n_vertices], delay=())
 
 
 def expanded_build_region_game(a: PPTA, max_vertices: int | None = None) -> RegionGame:

@@ -21,10 +21,11 @@ from spe_reach.fixpoint import (
 )
 from spe_reach.game import ConstraintProfile, FiniteGame
 from spe_reach.oracle import oracle_outcomes
-from spe_reach.timed import PPTA, build_region_game, guard_sat_region, reset_region
+from spe_reach.timed import PPTA, build_region_game
 
 from clock_samples import (
     all_regions,
+    assert_edges_concretely_realizable,
     delay_reaching,
     guard_sat_valuation,
     random_member,
@@ -32,7 +33,6 @@ from clock_samples import (
     region_of,
     region_representative,
     reset_valuation,
-    time_successors,
 )
 from generators import (
     all_constraints,
@@ -249,28 +249,7 @@ def test_criterion_5b_bisimulation_and_edge_realizability():
                 assert guard_sat_valuation(t.guard, mate_moved)
                 assert region_of(reset_valuation(mate_moved, t.resets), maxima) == landing
                 pair_checks += 1
-        rg = build_region_game(a)
-        for src, letter, dst in rg.game.edges:
-            loc, reg = rg.origin[src]
-            loc2, reg2 = rg.origin[dst]
-            nu = random_member(reg, rng)
-            realized = False
-            for elapsed in time_successors(reg):
-                for t in a.transitions_from[loc]:
-                    if (
-                        t.letter != letter
-                        or t.target != loc2
-                        or not guard_sat_region(t.guard, elapsed)
-                        or reset_region(elapsed, t.resets) != reg2
-                    ):
-                        continue
-                    d = delay_reaching(nu, elapsed, maxima)
-                    shifted = tuple(v + d for v in nu)
-                    assert guard_sat_valuation(t.guard, shifted)
-                    assert region_of(reset_valuation(shifted, t.resets), maxima) == reg2
-                    realized = True
-            assert realized, (src, letter, dst)
-            edge_checks += 1
+        edge_checks += assert_edges_concretely_realizable(a, rng)
     print(
         f"\ncriterion 5b (region soundness): PASS - {pair_checks} matched "
         f"concrete moves across region mates and {edge_checks} region edges "

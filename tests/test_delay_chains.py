@@ -12,6 +12,11 @@ each vertex's full row and share no code with the chain form:
 - every fixpoint step equals ``reference_lambda_step`` on that reference;
 - every witness equals ``reference_consistent_play``.
 
+Hand-built chain games from ``random_chain_game`` cover the shapes no region
+game has (links between vertices, merging chains, several owners): each
+must be solved as its expanded form is, and a link between two owners must
+be rejected at construction.
+
 ``guarded_ppta`` automata have no unguarded self-loop, so most of their
 region games hold positions that no move reaches; ``random_ppta`` and
 ``looping_ppta`` automata have a self-loop at every location. The CLI's
@@ -30,13 +35,13 @@ import pytest
 
 from spe_reach import cli
 from spe_reach.extended import build_extended_game
-from spe_reach.fixpoint import compute_lambda_star, cores, exists_consistent_play, initial_labeling, lambda_step
+from spe_reach.fixpoint import analyze, compute_lambda_star, cores, exists_consistent_play, initial_labeling, lambda_step
 from spe_reach.game import GainProfile
 from spe_reach.jsonio import load_ppta
 from spe_reach.timed import PPTA, RegionGame, build_region_game
 
 import documents
-from generators import guarded_ppta, looping_ppta, random_ppta
+from generators import all_constraints, guarded_ppta, looping_ppta, random_chain_game, random_ppta
 from reference_extended import adjacency_matches, reference_build_extended_game
 from reference_fixpoint import reference_consistent_play, reference_lambda_step
 from reference_regions import expanded, expanded_build_region_game, reference_build_region_game
@@ -55,7 +60,7 @@ def assert_chain_form_matches(a: PPTA) -> bool:
     assert xg.origin[: xg.n_vertices] == pairs
     assert adjacency_matches(xg, ref_triples)
     flat = build_extended_game(ref.game)
-    assert flat.delay == (-1,) * flat.n_vertices
+    assert flat.delay == ()
     lam, k = initial_labeling(xg), 0
     while True:
         nxt = reference_lambda_step(flat, lam)
@@ -96,6 +101,43 @@ def test_documents_match_the_references():
     for doc in (documents.ONE_CLOCK_PPTA, documents.TWO_CLOCK_PPTA, documents.ZERO_CLOCK_PPTA):
         assert_chain_form_matches(load_ppta(doc))
     assert assert_chain_form_matches(load_ppta(documents.GUARDED_PPTA))
+
+
+def test_hand_built_chain_games_are_solved_as_their_expanded_forms():
+    rng = random.Random(47)
+    shapes = {"vertex to vertex": 0, "merge": 0, "hidden": 0, "players": 0}
+    for _ in range(300):
+        g = random_chain_game(rng)
+        nv, links = g.n_vertices, [(p, q) for p, q in enumerate(g.delay) if q >= 0]
+        shapes["vertex to vertex"] += any(p < nv and q < nv for p, q in links)
+        shapes["merge"] += len({q for _, q in links}) < len(links)
+        shapes["hidden"] += len(g.out_edges) > nv
+        shapes["players"] += len(set(g.owner)) > 1
+        ours, theirs = analyze(g), analyze(expanded(g))
+        assert ours[1:] == theirs[1:]
+        for c in all_constraints(g.n_players):
+            d, e = ours.decide(c), theirs.decide(c)
+            assert d.answer == e.answer
+            assert (d.witness and d.witness.extended) == (e.witness and e.witness.extended)
+    assert min(shapes.values()) >= 50
+
+
+def test_links_between_two_owners_are_rejected():
+    rng = random.Random(53)
+    rejected = 0
+    for _ in range(300):
+        g = random_chain_game(rng)
+        owner = tuple(rng.randrange(g.n_players) for _ in g.owner)
+        joins = [(p, q) for p, q in enumerate(g.delay) if q >= 0 and owner[p] != owner[q]]
+        if not joins:
+            assert g._replace(owner=owner).owner == owner
+            continue
+        rejected += 1
+        with pytest.raises(ValueError) as excinfo:
+            g._replace(owner=owner)
+        p, q = joins[0]
+        assert str(excinfo.value) == f"delay link of position {p} to position {q} joins two owners"
+    assert rejected >= 100
 
 
 def ppta_document(a: PPTA) -> dict:

@@ -127,6 +127,12 @@ class TestLambdaStep:
         lam, _ = compute_lambda_star(fork_ext)
         assert lambda_step(fork_ext, lam) == lam
 
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_partial_or_overlong_labeling_rejected(self, fork_ext, size):
+        assert fork_ext.n_vertices == 3
+        with pytest.raises(ValueError, match="labeling must be total over the extended vertices"):
+            lambda_step(fork_ext, (0,) * size)
+
     def test_monotone_on_random_games(self):
         for g in random_games(40, seed=43):
             xg = build_extended_game(g)

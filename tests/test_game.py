@@ -416,7 +416,12 @@ class TestRecords:
         ({"delay": (5, -1)}, "delay link of position 0 leads to unknown position 5"),
         ({"delay": (1, 0)}, "the delay links through position 0 form a cycle"),
         # no move on the vertex's position nor along its chain
-        ({"out_edges": ((), (("a", 1),), ()), "delay": (2, -1, -1)}, "vertex 'A' has no outgoing edge (blocking)"),
+        ({"out_edges": ((), (("a", 1),), ()), "owner": (0, 0, 0), "delay": (2, -1, -1)},
+         "vertex 'A' has no outgoing edge (blocking)"),
+        # with links, the owner map covers every position
+        ({"out_edges": ((), (("a", 1),), ()), "delay": (2, -1, -1)}, "owner map covers 2 of 3 positions"),
+        ({"out_edges": ((("a", 1),), (("a", 1),), ()), "owner": (0, 0, 1), "delay": (2, -1, -1)},
+         "position 2: owner 1 out of range for 1 players"),
     ])
     def test_bad_games_rejected(self, chain_game, changes, message):
         # _replace goes through _make, so it checks as construction does
@@ -428,14 +433,29 @@ class TestRecords:
         # A's position has no move of its own; its chain runs through the
         # positions 2 and 3, which are no vertex, and 3 repeats B's move
         g = chain_game._replace(
-            out_edges=((), (("a", 1),), (("a", 0),), (("a", 1),)), delay=(2, -1, 3, -1)
+            out_edges=((), (("a", 1),), (("a", 0),), (("a", 1),)),
+            owner=(0, 0, 0, 0),
+            delay=(2, -1, 3, -1),
         )
         assert g.rows == ((("a", 0), ("a", 1)), (("a", 1),))
         assert g.edges == ((0, "a", 0), (0, "a", 1), (1, "a", 1))
-        full = g._replace(out_edges=g.rows, delay=())
+        full = g._replace(out_edges=g.rows, owner=(0, 0), delay=())
         ours, theirs = fixpoint.analyze(g), fixpoint.analyze(full)
-        assert ours.extended_game.successors == theirs.extended_game.successors
+        assert tuple(ours.extended_game.successors) == theirs.extended_game.successors
         assert ours[1:] == theirs[1:]
+
+    def test_delay_link_between_two_owners_rejected(self):
+        # a delay is no move: were the link allowed, A would take B's
+        # moves, and the game would answer NO where its expanded form,
+        # with A owning both moves, answers YES
+        with pytest.raises(ValueError) as excinfo:
+            FiniteGame(
+                n_players=2, alphabet=("a",), vertex_names=("A", "B", "C", "E"),
+                out_edges=((), (("a", 2), ("a", 3)), (("a", 2),), (("a", 3), ("a", 1))),
+                owner=(0, 1, 0, 0), targets=(frozenset(), frozenset({2})), initial=0,
+                delay=(1, -1, -1, -1),
+            )
+        assert str(excinfo.value) == "delay link of position 0 to position 1 joins two owners"
 
     def test_keyword_construction(self, chain_game):
         assert GainProfile(mask=2, n=2) == GainProfile(2, 2)

@@ -23,6 +23,7 @@ from spe_reach.timed import (
 
 from clock_samples import (
     all_regions,
+    assert_edges_concretely_realizable,
     delay_reaching,
     guard_sat_valuation,
     immediate_delay,
@@ -161,6 +162,10 @@ class TestGuardSatRegion:
         with pytest.raises(ValueError, match="exceeds"):
             guard_sat_region((GuardAtom(0, "le", 5),), ClockRegion.zero([1]))
 
+    def test_unknown_clock_rejected(self):
+        with pytest.raises(ValueError, match="^guard uses unknown clock id 1$"):
+            guard_sat_region((GuardAtom(1, "le", 0),), ClockRegion.zero([1]))
+
     def test_agrees_with_concrete_members(self):
         rng = random.Random(13)
         maxima = (2, 1)
@@ -186,6 +191,10 @@ class TestResetRegion:
     def test_reset_nothing_identity(self):
         r = region_of([Fraction(1, 2)], [1])
         assert reset_region(r, []) is r
+
+    def test_unknown_clock_rejected(self):
+        with pytest.raises(ValueError, match="^reset uses unknown clock id 2$"):
+            reset_region(ClockRegion.zero([1, 1]), [0, 2])
 
     def test_reset_drops_from_order(self):
         r = _region([1, 1], [(0, False), (0, False)], [{0}, {1}])
@@ -458,7 +467,9 @@ class TestBuildRegionGame:
         # the solver reads the delay-chain form alone: no full row is built
         assert not {"rows", "edges"} & rg.game.__dict__.keys()
         xg = analyze(rg.game).extended_game
-        assert not {"successors", "predecessors", "game"} & xg.__dict__.keys()
+        assert not {"predecessors", "game"} & xg.__dict__.keys()
+        # the witness search reads successor rows expanded one vertex at a time
+        assert not isinstance(xg.successors, tuple)
         outcomes = oracle_outcomes(build_extended_game(rg.game))
         assert any(map(win.admits, outcomes))
         assert not any(map(lose.admits, outcomes))
@@ -579,33 +590,3 @@ class TestBuildRegionGame:
         for _ in range(30):
             assert_edges_concretely_realizable(guarded_ppta(rng), rng, sample=20)
 
-
-def assert_edges_concretely_realizable(a: PPTA, rng: random.Random, sample: int | None = None) -> None:
-    """Each region-game edge (or ``sample`` of them, drawn with rng) is taken
-    by a concrete member of its source region: for every delay and transition
-    the regions allow, the delayed valuation satisfies the guard and lands,
-    reset, in the target region."""
-    rg = build_region_game(a)
-    maxima = a.maxima
-    edges = rg.game.edges
-    if sample is not None:
-        edges = rng.sample(edges, min(sample, len(edges)))
-    for src, letter, dst in edges:
-        loc, reg = rg.origin[src]
-        loc2, reg2 = rg.origin[dst]
-        nu = random_member(reg, rng)
-        realized = False
-        for elapsed in time_successors(reg):
-            for t in a.transitions_from[loc]:
-                if t.letter != letter or t.target != loc2:
-                    continue
-                if not guard_sat_region(t.guard, elapsed):
-                    continue
-                if reset_region(elapsed, t.resets) != reg2:
-                    continue
-                d = delay_reaching(nu, elapsed, maxima)
-                shifted = [v + d for v in nu]
-                assert guard_sat_valuation(t.guard, shifted)
-                assert region_of(reset_valuation(shifted, t.resets), maxima) == reg2
-                realized = True
-        assert realized
