@@ -46,9 +46,9 @@ class ExtendedGame(namedtuple("ExtendedGame", "base origin owner own delay own_p
     mask. Per position, ``owner`` is the owner of its base position, which
     :class:`FiniteGame` checks to be the same along a chain, ``own`` its own
     successor vertices, ascending, each once, and ``delay`` the position its
-    link leads to, or -1 (``delay`` is empty, as in the base game, without
-    links); ``own_pred[w]`` lists, ascending, the positions whose ``own``
-    row holds vertex w. All of these are derived from base and
+    link leads to, or -1 (``delay`` is empty, as in the base game, when no
+    position has a link); ``own_pred[w]`` lists, ascending, the positions
+    whose ``own`` row holds vertex w. All of these are derived from base and
     origin, so equality and hashing look at those two only. The cached views
     keep an instance ``__dict__``, so this record has no ``__slots__``.
     """
@@ -179,7 +179,9 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, v: int) -> tuple[int, ...]:
+    def __getitem__(self, v: int | slice) -> tuple:
+        if isinstance(v, slice):
+            return tuple(self[i] for i in range(*v.indices(len(self))))
         row = self._rows[v]
         if row is None:
             v %= len(self._rows)
@@ -264,6 +266,6 @@ def build_extended_game(g: FiniteGame, max_vertices: int | None = None) -> Exten
         origin=tuple(pairs),
         owner=tuple(base_owner[p] for p, _ in pairs),
         own=tuple(own),
-        delay=delay,
+        delay=delay if max(delay, default=-1) >= 0 else (),
         own_pred=tuple(map(tuple, pred)),
     )

@@ -9,10 +9,11 @@ a label. A play with gain m ends in layer m (satisfied set m) and stays in
 its down-set, so both the step and the witness search start from one
 routine, :func:`_core`, which prunes layer m to the vertices a consistent
 play can stay on forever. A step searches backward from the core of each
-occurring layer and folds all gain profiles into one per-vertex bitmask.
-At the fixpoint a play is an equilibrium outcome iff it is consistent with
-the labels, so constrained existence reduces to a forward search for one
-consistent lasso per admissible gain profile.
+occurring layer and adds every vertex it reaches to the set of unsafe
+vertices of each player who loses in that layer; it keeps one such set per
+player. At the fixpoint a play is an equilibrium outcome iff it is
+consistent with the labels, so constrained existence reduces to a forward
+search for one consistent lasso per admissible gain profile.
 
 The extended game, the fixpoint and the core of every layer under it
 depend on the game alone, so :func:`analyze` computes them once per game
@@ -125,6 +126,8 @@ def exists_consistent_play(
         raise ValueError("labeling must be total over the extended vertices")
     if p.n != xg.n_players:
         raise ValueError("gain profile does not match the player count")
+    if len(core) != n:
+        raise ValueError("core must be total over the extended vertices")
     m = p.mask
     lose = ((1 << xg.n_players) - 1) ^ m
     sat, owner, succ = xg.satisfied, xg.owner, xg.successors

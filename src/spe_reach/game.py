@@ -137,17 +137,19 @@ class FiniteGame(namedtuple(
     own pairs followed by those along its chain of delay links. A region game
     keeps the moves enabled at one clock region on its position and links it
     to the position of the next region. A game without delay links has an
-    empty ``delay`` and one position per vertex, so ``out_edges[v]`` are all
-    of v's moves. ``rows``, ``edges`` and ``target_mask`` are views derived
-    on first access; ``rows`` lists each vertex's moves in full.
+    empty ``delay``, its only form, and one position per vertex, so
+    ``out_edges[v]`` are all of v's moves. ``rows``, ``edges`` and
+    ``target_mask`` are views derived on first access; ``rows`` lists each
+    vertex's moves in full.
 
     ``owner[p]`` is the owner of position p; a delay is no move, so a link
     joins positions of one owner. ``targets`` holds frozensets of vertex ids.
     The views and the memoized hash keep an instance ``__dict__``, so this
     record has no ``__slots__``. Construction checks that every id is in
-    range, every letter is in the alphabet and every link keeps its owner
-    and forms no cycle, raising ``ValueError`` on the first fault, then that
-    no vertex is blocking (without a move), naming every vertex that is.
+    range, every letter is in the alphabet, a non-empty ``delay`` holds a
+    link and every link keeps its owner and forms no cycle, raising
+    ``ValueError`` on the first fault, then that no vertex is blocking
+    (without a move), naming every vertex that is.
     """
 
     # namedtuple's _make (and so _replace) skips __new__; this one checks too
@@ -193,6 +195,8 @@ class FiniteGame(namedtuple(
                     raise ValueError(f"delay link of position {p} leads to unknown position {q}")
                 if q >= 0 and owner[p] != owner[q]:
                     raise ValueError(f"delay link of position {p} to position {q} joins two owners")
+            if max(delay) < 0:
+                raise ValueError("delay holds no link; a game without links has delay ()")
             live = list(map(bool, out_edges))
             for p in chain_order(delay):
                 live[p] = live[p] or live[delay[p]]

@@ -265,11 +265,6 @@ def describe_region(r: ClockRegion, clock_names: Sequence[str]) -> str:
     return ";".join(parts)
 
 
-# a move out of a (location, region id) pair: its letter and the
-# (target location, region id after resets) pair it leads to
-_Move = tuple[str, tuple[int, int]]
-
-
 class RegionGame(NamedTuple):
     """Finite game over the reachable (location, region) pairs of a PPTA.
 
@@ -301,11 +296,13 @@ def build_region_game(
     ``max_vertices`` caps the number of vertices. The immediate time
     successor and the reset images are memoized per id.
 
-    The BFS walks the chain of a vertex the first time it reaches it, to its
-    end or to the first position already walked, and numbers the targets
-    along the walk in chain order. That is the first-occurrence order of a
-    walk over the whole time-successor chain, so vertices come out in that
-    order. Positions that are no vertex get ids after the vertices.
+    The BFS walks the chain of a vertex once, forward, the first time it
+    reaches it, to its end or to the first position already walked: per
+    position it tests the guards and numbers the targets in chain order.
+    That is the first-occurrence order of a walk over the whole
+    time-successor chain, so vertices come out in that order. Positions
+    that are no vertex get ids after the vertices. The vertex cap is checked
+    once per vertex, after its walk, as in the extended game's builder.
     """
     regions: list[ClockRegion] = []
     region_id: dict[ClockRegion, int] = {}
@@ -330,63 +327,52 @@ def build_region_game(
             successor[rid] = None if nxt is None else intern(nxt)
         return successor[rid]
 
-    def enabled(loc: int, rid: int) -> list[_Move]:
-        r = regions[rid]
-        out = []
-        for t in a.transitions_from[loc]:
-            if not guard_sat_region(t.guard, r):
-                continue
-            image = rid
-            if t.resets:
-                key = (rid, t.resets)
-                image = images.get(key)
-                if image is None:
-                    image = images[key] = intern(reset_region(r, t.resets))
-            out.append((t.letter, (t.target, image)))
-        return out
-
     start = (a.initial, intern(ClockRegion.zero(a.maxima)))
     order: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
-    # per walked position: whether a move is enabled somewhere along its chain
-    live: dict[tuple[int, int], bool] = {}
+    # per walked position: its own (letter, vertex) row, and whether a move
+    # is enabled somewhere along its chain
     own: dict[tuple[int, int], tuple[tuple[str, int], ...]] = {}
+    live: dict[tuple[int, int], bool] = {}
     # pairs grows while it is walked: visiting ids in order is the BFS
     for loc, rid in pairs:
         # walk forward to the chain's end or the first position already
-        # walked, then read the moves backwards, so that each position knows
-        # whether its chain has one
+        # walked, numbering the targets of each position's moves on the way
         walk = []
         step: int | None = rid
-        while step is not None and (loc, step) not in live:
+        while step is not None and (loc, step) not in own:
+            r = regions[step]
+            row: list[tuple[str, int]] = []
+            for t in a.transitions_from[loc]:
+                if not guard_sat_region(t.guard, r):
+                    continue
+                image = step
+                if t.resets:
+                    key = (step, t.resets)
+                    image = images.get(key)
+                    if image is None:
+                        image = images[key] = intern(reset_region(r, t.resets))
+                succ = (t.target, image)
+                xj = order.get(succ)
+                if xj is None:
+                    xj = order[succ] = len(pairs)
+                    pairs.append(succ)
+                if (t.letter, xj) not in row:
+                    row.append((t.letter, xj))
+            own[(loc, step)] = tuple(row)
             walk.append(step)
             step = next_id(step)
+        # then read the rows backwards, so that each position knows whether
+        # its chain has a move
         alive = step is not None and live[(loc, step)]
-        moves = []
         for step in reversed(walk):
-            here = enabled(loc, step)
-            alive = alive or bool(here)
-            live[(loc, step)] = alive
-            moves.append(here)
+            alive = live[(loc, step)] = alive or bool(own[(loc, step)])
         if not live[(loc, rid)]:
             raise DeadlockedRegionError(
                 a.location_names[loc], describe_region(regions[rid], a.clock_names)
             )
-        for step, here in zip(walk, reversed(moves)):
-            row: list[tuple[str, int]] = []
-            for letter, succ in here:
-                xj = order.get(succ)
-                if xj is None:
-                    xj = len(pairs)
-                    if max_vertices is not None and xj >= max_vertices:
-                        raise SizeCapError(
-                            f"region game would exceed the cap of {max_vertices} vertices"
-                        )
-                    order[succ] = xj
-                    pairs.append(succ)
-                if (letter, xj) not in row:
-                    row.append((letter, xj))
-            own[(loc, step)] = tuple(row)
+        if max_vertices is not None and len(pairs) > max_vertices:
+            raise SizeCapError(f"region game would exceed the cap of {max_vertices} vertices")
     n = len(pairs)
     extra = [pos for pos in own if pos not in order]
     for x, pos in enumerate(extra, n):

@@ -141,6 +141,20 @@ class TestJsonIO:
         with pytest.raises(InputError, match="unknown clock"):
             load_ppta(broken)
 
+    def test_ppta_duplicate_clock(self):
+        broken = json.loads(json.dumps(ONE_CLOCK_PPTA))
+        broken["clocks"] = ["c", "c"]
+        with pytest.raises(InputError) as excinfo:
+            load_ppta(broken)
+        assert str(excinfo.value) == "<input>: duplicate clock name"
+
+    def test_ppta_goals_entry_not_a_name_list(self):
+        broken = json.loads(json.dumps(ONE_CLOCK_PPTA))
+        broken["goals"] = [[1]]
+        with pytest.raises(InputError) as excinfo:
+            load_ppta(broken)
+        assert str(excinfo.value) == "<input>: goals[0] must be a list of location names"
+
 
 class TestSolveCommand:
     def test_win_yes(self, fork_file, capsys):
@@ -353,6 +367,16 @@ class TestSolveCommand:
     def test_bad_player_flag_exit_2(self, fork_file, capsys):
         assert main(["solve", fork_file, "--player", "9=win"]) == 2
         assert main(["solve", fork_file, "--player", "0=maybe"]) == 2
+
+    @pytest.mark.parametrize("token, message", [
+        ("0win", "--player expects I=win|lose|any, got '0win'"),
+        ("x=win", "--player: invalid player index 'x'"),
+    ], ids=["no equals sign", "index not an integer"])
+    def test_bad_player_flag_named(self, fork_file, capsys, token, message):
+        assert main(["solve", fork_file, "--player", token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_size_cap_exit_3(self, fork_file, monkeypatch, capsys):
         monkeypatch.setenv("SPE_REACH_MAX_EXT_VERTICES", "2")

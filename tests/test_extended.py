@@ -86,6 +86,35 @@ def test_ill_formed_game_rejected(chain_game):
     assert str(excinfo.value) == "edge row 1 references unknown vertex id 2"
 
 
+def test_no_link_reached_gives_the_empty_delay():
+    # B links to C, but only A is reachable: no extended position has a link
+    g = FiniteGame(
+        n_players=1, alphabet=("a",), vertex_names=("A", "B", "C"),
+        out_edges=((("a", 0),), (), (("a", 2),)), owner=(0, 0, 0),
+        targets=(frozenset({0}),), initial=0, delay=(-1, 2, -1),
+    )
+    xg = build_extended_game(g)
+    assert xg.delay == ()
+    assert xg.successors is xg.own
+
+
+def test_successors_slice_as_a_tuple_does():
+    # A's own row is empty; its chain runs through 2 and 3, no vertices
+    g = FiniteGame(
+        n_players=1, alphabet=("a",), vertex_names=("A", "B"),
+        out_edges=((), (("a", 1),), (("a", 0),), (("a", 1),)), owner=(0, 0, 0, 0),
+        targets=(frozenset({1}),), initial=0, delay=(2, -1, 3, -1),
+    )
+    xg = build_extended_game(g)
+    rows = ((0, 1), (1,))
+    assert xg.successors[0:2] == rows  # before any row is expanded
+    assert xg.successors[1] == rows[1]
+    assert xg.successors[0:2] == rows
+    assert xg.successors[::-1] == rows[::-1]
+    assert xg.successors[-1:] == rows[-1:]
+    assert xg.successors[5:] == ()
+
+
 def assert_matches_reference(g: FiniteGame, max_vertices: int | None = None) -> None:
     try:
         ref, origin, triples = reference_build_extended_game(g, max_vertices)

@@ -99,6 +99,19 @@ class TestExistsConsistentPlay:
         with pytest.raises(ValueError, match="start"):
             exists_consistent_play(fork_ext, lam, 99, GainProfile(1, 1), cores(fork_ext, lam))
 
+    @pytest.mark.parametrize("lam, profile, core, message", [
+        ((0,), GainProfile(1, 1), b"\0\0", "labeling must be total over the extended vertices"),
+        ((0, 0), GainProfile(1, 2), b"\0\0", "gain profile does not match the player count"),
+        ((0, 0), GainProfile(1, 1), b"\0", "core must be total over the extended vertices"),
+        ((0, 0), GainProfile(1, 1), b"\0" * 4, "core must be total over the extended vertices"),
+    ], ids=["short labeling", "two-player profile", "short core", "long core"])
+    def test_arguments_of_the_wrong_size_rejected(self, chain_game, lam, profile, core, message):
+        xg = build_extended_game(chain_game)
+        assert xg.n_vertices == 2
+        with pytest.raises(ValueError) as excinfo:
+            exists_consistent_play(xg, lam, xg.x0, profile, core)
+        assert str(excinfo.value) == message
+
     def test_witness_properties_on_random_games(self):
         for g in random_games(40, seed=41):
             xg = build_extended_game(g)

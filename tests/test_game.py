@@ -422,12 +422,33 @@ class TestRecords:
         ({"out_edges": ((), (("a", 1),), ()), "delay": (2, -1, -1)}, "owner map covers 2 of 3 positions"),
         ({"out_edges": ((("a", 1),), (("a", 1),), ()), "owner": (0, 0, 1), "delay": (2, -1, -1)},
          "position 2: owner 1 out of range for 1 players"),
+        # without links, delay is empty: (-1,) * n is no second spelling
+        ({"delay": (-1, -1)}, "delay holds no link; a game without links has delay ()"),
     ])
     def test_bad_games_rejected(self, chain_game, changes, message):
         # _replace goes through _make, so it checks as construction does
         with pytest.raises(ValueError) as excinfo:
             chain_game._replace(**changes)
         assert str(excinfo.value) == message
+
+    def test_delay_without_a_link_rejected(self):
+        fields = dict(
+            n_players=1, alphabet=("a",), vertex_names=("A",), out_edges=((("a", 0),),),
+            owner=(0,), targets=(frozenset(),), initial=0,
+        )
+        assert FiniteGame(**fields).delay == ()
+        for make in (
+            lambda: FiniteGame(**fields, delay=(-1,)),
+            lambda: FiniteGame._make((*fields.values(), (-1,))),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == "delay holds no link; a game without links has delay ()"
+
+    def test_word_outside_win_lose_any_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            ConstraintProfile.from_words(["won"])
+        assert str(excinfo.value) == "player 0: expected win/lose/any, got 'won'"
 
     def test_delay_links_give_a_vertex_the_moves_along_its_chain(self, chain_game):
         # A's position has no move of its own; its chain runs through the

@@ -497,6 +497,18 @@ class TestBuildRegionGame:
         with pytest.raises(SizeCapError):
             build_region_game(one_clock_choice_ppta(), max_vertices=3)
 
+    @pytest.mark.parametrize("make, max_vertices, max_regions", [
+        (one_clock_choice_ppta, 1, 3),
+        (two_clock_handover_ppta, 2, 4),
+        (two_clock_handover_ppta, 3, 6),
+    ])
+    def test_region_limit_reached_in_a_walk_is_named_first(self, make, max_vertices, max_regions):
+        # both limits are passed in the same chain walk; the vertex limit is
+        # checked once the walk is done, as the extended game's builder does
+        with pytest.raises(SizeCapError) as excinfo:
+            build_region_game(make(), max_vertices=max_vertices, max_regions=max_regions)
+        assert str(excinfo.value) == f"region game would exceed the cap of {max_regions} clock regions"
+
     def test_cap_bounds_clock_regions(self):
         # the guard's time-successor chain has about 6M regions; the cap must
         # stop the construction long before that chain is built
